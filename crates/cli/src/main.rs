@@ -1713,7 +1713,7 @@ fn report_trace_jsonl(path: &str, text: &str) -> Result<(), CliError> {
     }
     println!("  {} event(s)", events.len());
     for (outcome, n) in &outcomes {
-        println!("  outcome {outcome:<10} {n}");
+        println!("  outcome {outcome:<13} {n}");
     }
     if !hist.is_empty() {
         println!("  latency end-to-end:  {hist}");

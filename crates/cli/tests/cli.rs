@@ -598,7 +598,15 @@ fn serve_publishes_latency_and_streams_traces() {
         );
         let outcome = ev.get("outcome").unwrap().as_str().unwrap();
         assert!(
-            ["warm", "store_hit", "load", "fallback", "error"].contains(&outcome),
+            [
+                "warm",
+                "store_hit",
+                "load",
+                "fallback",
+                "unspecialized",
+                "error"
+            ]
+            .contains(&outcome),
             "unknown outcome `{outcome}`"
         );
         assert!(ev.get("total_nanos").unwrap().as_u64().is_some());
@@ -785,6 +793,49 @@ fn listen_serves_stdin_and_drains_on_eof() {
     let rendered = String::from_utf8_lossy(&report.stdout);
     assert!(rendered.contains("daemon.counters.admitted"), "{rendered}");
     let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
+fn listen_traces_admission_unspecialized_serves_under_auto() {
+    let src = write_temp("listen-auto.mc", DOTPROD);
+    let trace = temp_path("listen-auto-trace.jsonl");
+    let mut child = spawn_listen(&[
+        "serve",
+        src.to_str().expect("utf8"),
+        "--vary",
+        "z1,z2",
+        "--listen",
+        "--workers",
+        "1",
+        "--admission",
+        "auto",
+        "--trace-out",
+        trace.to_str().expect("utf8"),
+    ]);
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(REQUESTS.as_bytes())
+        .expect("write requests");
+    let out = child.wait_with_output().expect("daemon exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    // dotprod breaks even at two uses: the first arrival of its one
+    // context is served unspecialized, the other two specialized.
+    assert_eq!(stats_line(&text, "unspecialized:"), Some("1"), "{text}");
+    assert_eq!(stats_line(&text, "fallbacks:"), Some("0"), "{text}");
+    let report = dsc(&["report", trace.to_str().expect("utf8")]);
+    assert_eq!(report.status.code(), Some(0));
+    let rendered = String::from_utf8_lossy(&report.stdout);
+    assert!(rendered.contains("outcome unspecialized 1"), "{rendered}");
+    assert!(!rendered.contains("outcome fallback"), "{rendered}");
+    let _ = std::fs::remove_file(&trace);
 }
 
 #[test]

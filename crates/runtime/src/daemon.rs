@@ -17,8 +17,9 @@
 //!   recent arrival density, not lifetime count, predicts future uses, so
 //!   a fingerprint whose occasional repeats are spread thin across the
 //!   stream never pays for a loader run. Colder fingerprints are served by
-//!   the unspecialized fragment — bit-identical by the core theorem, just
-//!   not specialized.
+//!   the unspecialized fragment through [`Session::run_unspecialized`], on
+//!   the configured engine, and traced as `unspecialized`: bit-identical
+//!   by the core theorem, just not specialized.
 //! * **Deadlines.** A per-request deadline is checked both at dequeue and
 //!   after execution; a late request gets a typed
 //!   [`RuntimeError::DeadlineExceeded`], never a partial or late answer.
@@ -159,8 +160,9 @@ pub struct DaemonReport {
     /// Merged session statistics (worker order; the merge is associative
     /// and commutative, so this is deterministic however requests raced).
     pub stats: RunnerStats,
-    /// Merged latency histograms: per-session serving stages plus the
-    /// daemon-level `queue` and `unspec` stages.
+    /// Merged latency histograms: per-session serving stages (including
+    /// `unspec` for admission-unspecialized serves) plus the daemon-level
+    /// `queue` stage.
     pub timing: Timing,
     /// Per-request traces (only when `tracing` was enabled), sorted by
     /// submission sequence number.
@@ -437,22 +439,21 @@ fn admit_specialized(shared: &Shared, args: &[Value], fp: u64) -> bool {
 /// daemon's lifetime. Any execution failure degrades to "specialize on
 /// first use" — the staged lifecycle handles failures with typed errors.
 fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
-    let opts = shared.cfg.runner;
-    let orig = match shared.artifact.reference(args, opts.eval) {
-        Ok(out) => out.cost as f64,
-        Err(_) => return Some(1),
+    let store = Arc::new(CacheStore::new(1));
+    let mut scratch = Session::new(Arc::clone(&shared.artifact), store, shared.cfg.runner);
+    let mut cost = |staged: bool| {
+        let out = if staged {
+            scratch.run(args)
+        } else {
+            scratch.run_unspecialized(args)
+        };
+        out.ok().map(|o| o.cost as f64)
     };
-    let scratch_store = Arc::new(CacheStore::new(1));
-    let mut scratch = Session::new(Arc::clone(&shared.artifact), scratch_store, opts);
-    let loader = match scratch.run(args) {
-        Ok(out) => out.cost as f64,
-        Err(_) => return Some(1),
-    };
-    let reader = match scratch.run(args) {
-        Ok(out) => out.cost as f64,
-        Err(_) => return Some(1),
-    };
-    breakeven_uses(orig, loader, reader)
+    // Operands evaluate left to right: original, then loader, then reader.
+    match (cost(false), cost(true), cost(true)) {
+        (Some(orig), Some(loader), Some(reader)) => breakeven_uses(orig, loader, reader),
+        _ => Some(1),
+    }
 }
 
 /// Serves one staged request with single-flight staging: probe the store
@@ -466,7 +467,7 @@ fn serve_staged(
     fp: u64,
 ) -> Result<Outcome, RuntimeError> {
     loop {
-        if session.store().get(fp).is_some() {
+        if session.store().touch(fp) {
             // Staged already: serve under a shared latch (concurrent with
             // every other reader of this fingerprint).
             let _shared = shared.latches.shared(fp);
@@ -498,8 +499,7 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
         session.attach_wal(wal);
     }
     session.set_tracing(shared.cfg.tracing);
-    // Daemon-level latency overlay: queue wait for every request, plus
-    // end-to-end time of unspecialized serves (which bypass the session).
+    // Daemon-level latency overlay: queue wait for every request.
     let mut overlay = Timing::new();
     let mut traces: Vec<RequestTrace> = Vec::new();
     let deadline = shared.cfg.deadline_ms.map(Duration::from_millis);
@@ -542,28 +542,7 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
             serve_staged(&shared, &mut session, &req.args, fp)
         } else {
             shared.counters.note_unspec_serve();
-            let exec_nanos_probe = Instant::now();
-            let out = shared
-                .artifact
-                .reference(&req.args, shared.cfg.runner.eval)
-                .map_err(RuntimeError::Eval);
-            let exec_nanos = exec_nanos_probe.elapsed().as_nanos() as u64;
-            overlay.record_total(exec_nanos);
-            overlay.record_stage("unspec", exec_nanos);
-            if shared.cfg.tracing {
-                traces.push(RequestTrace {
-                    seq: req.seq,
-                    inputs_fp: fp,
-                    outcome: if out.is_err() {
-                        RequestOutcome::Error
-                    } else {
-                        RequestOutcome::Fallback
-                    },
-                    total_nanos: exec_nanos,
-                    stages: vec![("queue", queue_nanos), ("unspec", exec_nanos)],
-                });
-            }
-            out
+            session.run_unspecialized(&req.args)
         };
         // Deadline check after execution: a complete answer that arrives
         // past the deadline is discarded — never partial, never late.
@@ -575,7 +554,7 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
                 });
             }
         }
-        if specialized && shared.cfg.tracing {
+        if shared.cfg.tracing {
             // Sessions stamp a local serve order; rebase each trace onto
             // the daemon-wide submission sequence as it is drained.
             for mut t in session.take_traces() {
@@ -600,7 +579,7 @@ mod tests {
     use super::*;
     use crate::runner::Policy;
     use ds_core::{specialize_source, InputPartition, SpecializeOptions};
-    use ds_interp::Engine;
+    use ds_interp::{value_bits, Engine};
     use ds_telemetry::LatencyHist;
 
     const DOTPROD: &str = "float dotprod(float x1, float y1, float z1,
@@ -771,11 +750,118 @@ mod tests {
         assert!(b >= 2, "dotprod's loader must cost more than one original");
         assert_eq!(report.counters.unspec_serves() as u32, b - 1);
         assert_eq!(report.counters.staged_serves() as u32, 5 - (b - 1));
-        // Unspecialized serves appear in traces as fallbacks.
+        // Unspecialized serves have a trace outcome of their own, apart
+        // from degradation fallbacks.
+        let unspec = report
+            .traces
+            .iter()
+            .filter(|t| t.outcome == RequestOutcome::Unspecialized)
+            .count();
+        assert_eq!(unspec as u32, b - 1);
         assert!(report
             .traces
             .iter()
-            .any(|t| t.outcome == RequestOutcome::Fallback));
+            .all(|t| t.outcome != RequestOutcome::Fallback));
+    }
+
+    /// A fragment whose fixed `d` can make it raise a typed
+    /// `DivideByZero`, and which calls `trace` on every run.
+    const MIXED: &str = "float mixed(float k, int d, float x) {
+        float acc = 0.0;
+        int i = 0;
+        while (i < 6) { acc = acc + sin(k * itof(i)) * x; i = i + 1; }
+        trace(acc);
+        return acc + cos(k) * itof(12 / d);
+    }";
+
+    /// One served request, reduced to what must not depend on the engine:
+    /// the `specialized` flag, then value bits, cost and `trace` bits, or
+    /// the typed error with its message.
+    type Served = (
+        bool,
+        Result<((u64, u64), u64, Vec<u64>), (RuntimeError, String)>,
+    );
+
+    /// Serves `reqs` one at a time (each waits for its answer, so the
+    /// queue depth and admission order are deterministic) through a
+    /// one-worker `Admission::Auto` daemon with breakeven 3 on `engine`.
+    fn serve_mixed(engine: Engine, reqs: &[Vec<Value>]) -> (Vec<Served>, DaemonReport) {
+        let part = InputPartition::varying(["x"]);
+        let spec =
+            specialize_source(MIXED, "mixed", &part, &SpecializeOptions::new()).expect("spec");
+        let artifact = Arc::new(StagedArtifact::new(&spec, &part));
+        let cfg = DaemonConfig {
+            admission: Admission::Auto,
+            runner: RunnerOptions {
+                engine,
+                ..RunnerOptions::default()
+            },
+            tracing: true,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(artifact, Arc::new(CacheStore::new(16)), None, cfg);
+        daemon.preseed_breakeven(Some(3));
+        let served = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, args)| {
+                daemon.submit(i as u64, args.clone(), None).expect("submit");
+                let r = collect(&rx, 1).pop().expect("one response");
+                assert_eq!(r.seq, i as u64);
+                let result = match &r.result {
+                    Ok(out) => Ok((
+                        value_bits(out.value.as_ref().expect("value")),
+                        out.cost,
+                        out.trace.iter().map(|t| t.to_bits()).collect(),
+                    )),
+                    Err(e) => Err((e.clone(), e.to_string())),
+                };
+                (r.specialized, result)
+            })
+            .collect();
+        (served, daemon.join())
+    }
+
+    #[test]
+    fn daemon_serves_identically_on_every_engine_under_auto_admission() {
+        let req = |k: f64, d: i64, x: f64| vec![Value::Float(k), Value::Int(d), Value::Float(x)];
+        // Hot context A crosses breakeven on its third back-to-back
+        // arrival; one-shot B never does; E divides by zero, once cold
+        // and then in a burst that stages it (the loader itself fails).
+        let mut reqs = Vec::new();
+        for x in 0..6 {
+            reqs.push(req(0.5, 3, f64::from(x)));
+        }
+        reqs.push(req(1.5, 4, 2.0));
+        reqs.push(req(0.5, 0, 1.0));
+        reqs.push(req(0.5, 3, 9.0));
+        for x in 0..3 {
+            reqs.push(req(0.5, 0, f64::from(x)));
+        }
+        let (tree, tree_report) = serve_mixed(Engine::Tree, &reqs);
+        assert!(tree.iter().any(|(spec, _)| *spec) && tree.iter().any(|(spec, _)| !*spec));
+        assert!(tree.iter().any(|(spec, r)| !*spec && r.is_err()));
+        assert!(tree.iter().any(|(spec, r)| *spec && r.is_err()));
+        let shape = |report: &DaemonReport| -> Vec<(u64, RequestOutcome, Vec<&str>)> {
+            report
+                .traces
+                .iter()
+                .map(|t| (t.seq, t.outcome, t.stages.iter().map(|s| s.0).collect()))
+                .collect()
+        };
+        for engine in [Engine::Vm, Engine::VmBatch] {
+            let (served, report) = serve_mixed(engine, &reqs);
+            for (i, (want, got)) in tree.iter().zip(&served).enumerate() {
+                assert_eq!(want, got, "{engine:?} seq {i}");
+            }
+            assert_eq!(shape(&report), shape(&tree_report), "{engine:?}");
+            assert_eq!(report.stats, tree_report.stats, "{engine:?}");
+            assert_eq!(
+                report.counters.to_json(),
+                tree_report.counters.to_json(),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]
@@ -875,7 +961,11 @@ mod tests {
         }
         let report = daemon.join();
         assert_eq!(report.breakeven, Some(None), "never pays");
-        assert_eq!(report.stats.loads, 0, "no loader ever ran");
+        assert_eq!(
+            report.stats,
+            RunnerStats::default(),
+            "unspecialized serves are neither staged requests nor fallbacks"
+        );
         assert_eq!(report.counters.unspec_serves(), 4);
     }
 

@@ -31,7 +31,7 @@ use crate::runner::{Policy, RunnerOptions, RunnerStats};
 use crate::store::{CacheStore, StoreEntry};
 use crate::timing::{RequestOutcome, RequestTrace};
 use crate::wal::{Wal, WalOp};
-use ds_interp::{CacheBuf, EvalError, Evaluator, Outcome, Value, Vm, WriteFault};
+use ds_interp::{CacheBuf, EvalError, EvalOptions, Evaluator, Outcome, Value, Vm, WriteFault};
 use ds_telemetry::Timing;
 use std::sync::Arc;
 use std::time::Instant;
@@ -275,12 +275,7 @@ impl Session {
             }
             _ => self.fetch(args, fp),
         };
-        let total_nanos = started.elapsed().as_nanos() as u64;
-        self.timing.record_total(total_nanos);
-        for (stage, nanos) in &self.req_stages {
-            self.timing.record_stage(stage, *nanos);
-        }
-        if self.tracing {
+        let traced = self.tracing.then(|| {
             let outcome = if result.is_err() {
                 RequestOutcome::Error
             } else if self.stats.profile.fallbacks > fallbacks0 {
@@ -292,16 +287,66 @@ impl Session {
             } else {
                 RequestOutcome::Warm
             };
+            (fp, outcome)
+        });
+        self.finish(started, traced);
+        result
+    }
+
+    /// Serves one request by the unspecialized fragment on the configured
+    /// engine, unprofiled: the admission policy's "not worth staging"
+    /// path. It bypasses the cache lifecycle and leaves [`Session::stats`]
+    /// untouched; it is timed as the `unspec` stage and traced as
+    /// [`RequestOutcome::Unspecialized`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Eval`] with any error of the fragment itself.
+    pub fn run_unspecialized(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
+        let started = Instant::now();
+        self.req_stages.clear();
+        // Injected faults target the staged lifecycle: keep them for it.
+        let pending = self.pending.take();
+        let opts = EvalOptions {
+            profile: false,
+            ..self.opts.eval
+        };
+        let result = self
+            .exec(Stage::Fragment, args, opts)
+            .map_err(RuntimeError::Eval);
+        self.pending = pending;
+        self.req_stages
+            .push(("unspec", started.elapsed().as_nanos() as u64));
+        let traced = self.tracing.then(|| {
+            let outcome = if result.is_ok() {
+                RequestOutcome::Unspecialized
+            } else {
+                RequestOutcome::Error
+            };
+            (self.artifact.inputs_fingerprint(args), outcome)
+        });
+        self.finish(started, traced);
+        result
+    }
+
+    /// Records a finished request's latency histograms and, when `traced`
+    /// carries its fingerprint and outcome, its trace event.
+    fn finish(&mut self, started: Instant, traced: Option<(u64, RequestOutcome)>) {
+        let total_nanos = started.elapsed().as_nanos() as u64;
+        self.timing.record_total(total_nanos);
+        for (stage, nanos) in &self.req_stages {
+            self.timing.record_stage(stage, *nanos);
+        }
+        if let Some((inputs_fp, outcome)) = traced {
             self.traces.push(RequestTrace {
                 seq: self.seq,
-                inputs_fp: fp,
+                inputs_fp,
                 outcome,
                 total_nanos,
                 stages: std::mem::take(&mut self.req_stages),
             });
         }
         self.seq += 1;
-        result
     }
 
     /// The reference oracle: the fragment, tree-walked, uncached.
@@ -405,13 +450,15 @@ impl Session {
         Ok(())
     }
 
-    fn take_fuel(&mut self) -> Option<u64> {
+    /// Evaluation options of the next staged execution: the configured
+    /// ones, with a pending fuel fault applied (one-shot).
+    fn staged_opts(&mut self) -> EvalOptions {
+        let mut opts = self.opts.eval;
         if let Some(PendingFault::Fuel(n)) = self.pending {
             self.pending = None;
-            Some(n)
-        } else {
-            None
+            opts.step_limit = n;
         }
+        opts
     }
 
     /// Pre-reader integrity validation of the local warm, sealed cache.
@@ -455,9 +502,9 @@ impl Session {
             self.wal_append(&WalOp::Invalidate { inputs_fp: fp })?;
             return self.recover(args, fp, RuntimeError::Integrity(ie));
         }
-        let fuel = self.take_fuel();
+        let opts = self.staged_opts();
         let t = Instant::now();
-        let read = self.exec(Stage::Reader, args, fuel);
+        let read = self.exec(Stage::Reader, args, opts);
         self.req_stages
             .push(("read", t.elapsed().as_nanos() as u64));
         match read {
@@ -516,9 +563,9 @@ impl Session {
             self.pending = None;
             self.cache.arm_write_fault(wf);
         }
-        let fuel = self.take_fuel();
+        let opts = self.staged_opts();
         let t = Instant::now();
-        let loaded = self.exec(Stage::Loader, args, fuel);
+        let loaded = self.exec(Stage::Loader, args, opts);
         self.req_stages
             .push(("load", t.elapsed().as_nanos() as u64));
         match loaded {
@@ -600,7 +647,7 @@ impl Session {
     fn fallback(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
         self.stats.profile.fallbacks += 1;
         let t = Instant::now();
-        let out = self.exec(Stage::Fragment, args, None);
+        let out = self.exec(Stage::Fragment, args, self.opts.eval);
         self.req_stages
             .push(("fallback", t.elapsed().as_nanos() as u64));
         out.map_err(RuntimeError::Eval)
@@ -610,7 +657,7 @@ impl Session {
         &mut self,
         stage: Stage,
         args: &[Value],
-        fuel: Option<u64>,
+        opts: EvalOptions,
     ) -> Result<Outcome, EvalError> {
         // A pending stall strikes whatever stage runs next: the execution
         // is delayed, its answer untouched — only deadlines notice.
@@ -618,42 +665,26 @@ impl Session {
             self.pending = None;
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        let mut opts = self.opts.eval;
-        if let Some(f) = fuel {
-            opts.step_limit = f;
-        }
         let art = &self.artifact;
         let (name, with_cache) = match stage {
             Stage::Fragment => (art.entry.as_str(), false),
             Stage::Loader => (art.loader_name.as_str(), true),
             Stage::Reader => (art.reader_name.as_str(), true),
         };
+        let cache = with_cache.then_some(&mut self.cache);
         let out = match self.opts.engine {
             ds_interp::Engine::Tree => {
                 let ev = Evaluator::with_options(&art.staged, opts);
-                if with_cache {
-                    ev.run_with_cache(name, args, &mut self.cache)
-                } else {
-                    ev.run(name, args)
+                match cache {
+                    Some(cache) => ev.run_with_cache(name, args, cache),
+                    None => ev.run(name, args),
                 }
             }
-            ds_interp::Engine::Vm => {
-                let cache = if with_cache {
-                    Some(&mut self.cache)
-                } else {
-                    None
-                };
-                self.vm.run(&art.compiled, name, args, cache, opts)
-            }
+            ds_interp::Engine::Vm => self.vm.run(&art.compiled, name, args, cache, opts),
             ds_interp::Engine::VmBatch => {
                 // Serving is one request at a time, so the batch engine
                 // degenerates to a batch of one; parity with the scalar
                 // VM is bit-exact either way.
-                let cache = if with_cache {
-                    Some(&mut self.cache)
-                } else {
-                    None
-                };
                 art.compiled
                     .run_batch_soa(name, std::slice::from_ref(&args.to_vec()), cache, opts)
                     .pop()

@@ -3,11 +3,11 @@
 //!
 //! A [`Session`](crate::Session) always accumulates latency histograms
 //! (`ds_telemetry::Timing`: cheap, fixed-size, mergeable). Tracing is the
-//! opt-in, per-request view on top: when enabled, every `run` call also
-//! appends one [`RequestTrace`] recording which lifecycle path the request
-//! took (warm reader, store hit, loader run, fallback, error), its
-//! end-to-end latency, and the ordered list of timed stages it passed
-//! through. The CLI streams these as JSONL (`dsc serve --trace-out`).
+//! opt-in, per-request view on top: when enabled, every served request
+//! also appends one [`RequestTrace`] recording which path it took (warm
+//! reader, store hit, loader run, fallback, admission-unspecialized serve,
+//! error), its end-to-end latency, and the ordered list of timed stages it
+//! passed through. The CLI streams these as JSONL (`dsc serve --trace-out`).
 //!
 //! Like the histograms, traces are strictly additive telemetry: nothing in
 //! the lifecycle consults them, and they never enter `RunnerStats` — the
@@ -27,6 +27,8 @@ pub enum RequestOutcome {
     Load,
     /// The unspecialized fragment served it (degradation policy).
     Fallback,
+    /// The admission policy served it unspecialized, below breakeven.
+    Unspecialized,
     /// The request returned a typed error.
     Error,
 }
@@ -39,6 +41,7 @@ impl RequestOutcome {
             RequestOutcome::StoreHit => "store_hit",
             RequestOutcome::Load => "load",
             RequestOutcome::Fallback => "fallback",
+            RequestOutcome::Unspecialized => "unspecialized",
             RequestOutcome::Error => "error",
         }
     }
@@ -102,6 +105,7 @@ mod tests {
             (RequestOutcome::StoreHit, "store_hit"),
             (RequestOutcome::Load, "load"),
             (RequestOutcome::Fallback, "fallback"),
+            (RequestOutcome::Unspecialized, "unspecialized"),
             (RequestOutcome::Error, "error"),
         ] {
             assert_eq!(o.as_str(), s);
