@@ -7,13 +7,13 @@
 //! fidelity with `validate_metrics` and `dsc report --compare` without
 //! scraping tables.
 
-use ds_bench::json::Json;
 use ds_bench::{
     breakeven_histogram, cache_size_stats, exp_all_partitions, exp_batch_throughput,
     exp_code_growth, exp_code_vs_data, exp_dotprod, exp_limit_sweep, exp_workloads, f,
     normalize_limit_sweep, summarize, summarize_workloads, table,
 };
 use ds_shaders::all_shaders;
+use ds_telemetry::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

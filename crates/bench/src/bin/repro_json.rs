@@ -7,10 +7,10 @@
 //! `<path minus .json>.metrics.json`, so CI can validate the schema without
 //! knowing the experiment layout.
 
-use ds_bench::json::Json;
 use ds_bench::{
     breakeven_histogram, cache_size_stats, exp_all_partitions, exp_dotprod, exp_limit_sweep,
 };
+use ds_telemetry::Json;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::args()

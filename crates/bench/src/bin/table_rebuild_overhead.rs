@@ -7,8 +7,8 @@
 //! so CI can track churn amortization with `validate_metrics` and
 //! `dsc report --compare`.
 
-use ds_bench::json::Json;
 use ds_bench::{exp_rebuild_overhead, f, table};
+use ds_telemetry::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

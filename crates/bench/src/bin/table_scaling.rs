@@ -10,11 +10,11 @@
 //!
 //! `--dry-run` shrinks the matrix for CI smoke runs.
 
-use ds_bench::json::Json;
 use ds_bench::{
     exp_rebuild_overhead, exp_scaling, exp_wal_overhead, f, table, RebuildPoint, ScalingCell,
     WalOverheadPoint,
 };
+use ds_telemetry::Json;
 
 fn serve_doc(
     requests: usize,

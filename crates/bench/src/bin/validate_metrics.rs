@@ -4,11 +4,9 @@
 //! any document fails, so the workflow step catches schema drift from any
 //! producer — `dsc --metrics-out`, the bench sidecar, or future ones.
 
-use ds_bench::json;
-
 fn check(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let doc = ds_telemetry::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     ds_telemetry::validate_envelope(&doc)
 }
 

@@ -8,6 +8,7 @@ use ds_core::{specialize, InputPartition, SpecializeOptions};
 use ds_interp::{CacheBuf, Evaluator, Value};
 use ds_shaders::{all_shaders, measure_partition, MeasureOptions, Measurement, Shader};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The sample-grid edge used by the headline experiments. Per-pixel
 /// statistics are grid-size independent (§5.2: "truly per-pixel
@@ -422,7 +423,7 @@ pub struct RebuildPoint {
     pub amortized_speedup: f64,
 }
 
-/// Measures what cache rebuilds cost end to end: a `StagedRunner` serves
+/// Measures what cache rebuilds cost end to end: a `Session` serves
 /// `requests` dotprod requests whose varying inputs change every request
 /// and whose invariant inputs change every `churn_interval` requests —
 /// each invariant change forces a staleness reload. The baseline runs the
@@ -438,7 +439,11 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
                 rebuild_budget: requests as u32,
                 ..ds_runtime::RunnerOptions::default()
             };
-            let mut runner = ds_runtime::StagedRunner::new(&spec, &part, ropts);
+            let mut runner = ds_runtime::Session::new(
+                Arc::new(ds_runtime::StagedArtifact::new(&spec, &part)),
+                Arc::new(ds_runtime::CacheStore::new(ropts.store_capacity)),
+                ropts,
+            );
             let mut staged_cost = 0u64;
             let mut unspec_cost = 0u64;
             for i in 0..requests {
@@ -502,16 +507,16 @@ pub struct WalOverheadPoint {
 
 /// Measures what durability costs end to end: the rebuild-overhead
 /// request stream (varying inputs change every request, invariant inputs
-/// every `churn_interval`) is served twice by identical [`StagedRunner`]s
-/// — one bare, one with an in-memory [`ds_runtime::Wal`] checkpointing
+/// every `churn_interval`) is served twice by identical
+/// [`Session`](ds_runtime::Session)s — one bare, one with an in-memory
+/// [`ds_runtime::Wal`] checkpointing
 /// every 8 appends. Both answer streams are compared against the
 /// reference before any timing is reported.
 pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
-    use std::sync::Arc;
-
     let part = InputPartition::varying(["z1", "z2"]);
     let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
         .expect("specialize dotprod");
+    let artifact = Arc::new(ds_runtime::StagedArtifact::new(&spec, &part));
     let stream_for = |interval: usize| -> Vec<Vec<Value>> {
         (0..requests)
             .map(|i| {
@@ -537,15 +542,21 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
                 store_capacity: requests.max(1),
                 ..ds_runtime::RunnerOptions::default()
             };
-            let reference: Vec<Option<Value>> = {
-                let probe = ds_runtime::StagedRunner::new(&spec, &part, ropts);
-                stream
-                    .iter()
-                    .map(|args| probe.reference(args).expect("reference run").value)
-                    .collect()
-            };
+            let reference: Vec<Option<Value>> = stream
+                .iter()
+                .map(|args| {
+                    artifact
+                        .reference(args, ropts.eval)
+                        .expect("reference run")
+                        .value
+                })
+                .collect();
             let timed = |wal: Option<Arc<ds_runtime::Wal>>| {
-                let mut runner = ds_runtime::StagedRunner::new(&spec, &part, ropts);
+                let mut runner = ds_runtime::Session::new(
+                    Arc::clone(&artifact),
+                    Arc::new(ds_runtime::CacheStore::new(ropts.store_capacity)),
+                    ropts,
+                );
                 if let Some(wal) = &wal {
                     runner.attach_wal(Arc::clone(wal));
                 }
@@ -653,7 +664,6 @@ pub fn exp_scaling(
     store_capacity: usize,
 ) -> Vec<ScalingCell> {
     use ds_runtime::{CacheStore, RunnerOptions, Session, StagedArtifact};
-    use std::sync::Arc;
 
     let part = InputPartition::varying(["z1", "z2"]);
     let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())

@@ -24,7 +24,6 @@
 
 pub mod batch;
 pub mod experiments;
-pub mod json;
 pub mod report;
 pub mod workloads;
 

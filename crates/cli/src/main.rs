@@ -21,9 +21,9 @@
 //!           [--checkpoint-every N] [--trace-out PATH] [--stats-every N]
 //!     specialize once, then serve a stream of argument vectors through the
 //!     staged-execution runtime (cache lifecycle, integrity validation,
-//!     graceful degradation, optional fault injection); `--workers`
-//!     partitions the stream across threads sharing one artifact and one
-//!     polyvariant cache store; `--wal` makes sealed-cache installs durable
+//!     graceful degradation, optional fault injection); `--workers` sets
+//!     the daemon threads sharing one artifact and one polyvariant cache
+//!     store; `--wal` makes sealed-cache installs durable
 //!     (recovered crash-consistently on the next start); `--trace-out`
 //!     streams per-request trace events as JSONL and `--stats-every`
 //!     heartbeats progress to stderr
@@ -43,13 +43,14 @@
 //! and/or runtime robustness counters) as a versioned `ds-telemetry` JSON
 //! document.
 //!
-//! `dsc serve --listen` turns the batch server into an online daemon:
-//! requests stream in over stdin (one argument vector per line), answers
-//! stream out as they complete, and the serving loop is hardened with
-//! single-flight staging latches, §4.3 cost-model admission
-//! (`--admission`), per-request deadlines (`--deadline-ms`), a bounded
-//! queue with load shedding (`--max-queue`) and graceful drain on EOF or
-//! SIGTERM (finish in-flight work, checkpoint the WAL, flush telemetry).
+//! Both `serve` modes drive one daemon, hardened with single-flight
+//! staging latches. `--requests` replays a file and prints the answers in
+//! file order; `dsc serve --listen` reads stdin instead (one argument
+//! vector per line), streams answers out as they complete, and adds §4.3
+//! cost-model admission (`--admission`), per-request deadlines
+//! (`--deadline-ms`), a bounded queue with load shedding (`--max-queue`)
+//! and graceful drain on EOF or SIGTERM (finish in-flight work,
+//! checkpoint the WAL, flush telemetry).
 //!
 //! Exit codes are classified so scripts can tell failure modes apart (see
 //! [`exit`]): `2` usage error, `3` frontend/specialization error, `4`
@@ -66,14 +67,16 @@ use args::{parse, parse_value_list, Args, UsageError};
 use ds_core::{specialize, InputPartition, SpecializeOptions};
 use ds_lang::Program;
 use ds_runtime::{
-    CacheStore, Fault, FaultInjector, RunnerStats, RuntimeError, Session, StagedArtifact,
+    Admission, CacheStore, Daemon, DaemonConfig, DaemonResponse, Fault, FaultInjector, RunnerStats,
+    RuntimeError, Session, StagedArtifact,
 };
 use ds_telemetry::{format_nanos, Json, LatencyHist, Timing};
 use std::fmt;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A classified CLI failure; the class decides the process exit code, so
 /// scripts can tell misuse from bad input from runtime trouble.
@@ -168,7 +171,7 @@ USAGE:
               [--metrics-out PATH] [--trace-out PATH] [--stats-every N]
     dsc serve FILE --vary a,b --listen [--workers N] [--max-queue N]
               [--deadline-ms N] [--admission always|auto|N]
-              [and every batch serve option except --requests]
+              [and every other serve option except --requests]
     dsc report FILE.json [FILE.json ..]
     dsc report --compare OLD.json NEW.json [--threshold F]
     dsc fuzz [--seed N] [--cases N] [--oracle NAME[,NAME..]] [--out PATH]
@@ -193,10 +196,12 @@ how failures degrade, `--cache-file` persists the cache between runs, and
 `--inject` plants one deterministic fault (corrupt-slot, drop-store,
 truncate-buffer, fuel:N, corrupt-file, truncate-file, torn-write:N,
 crash-at-byte:N) placed by `--seed`.
-`--workers N` partitions the requests across N threads, each serving its
+Requests go through a daemon whose `--workers N` threads each serve their
 own session over the shared artifact and a polyvariant cache store (one
 sealed cache per invariant fingerprint, LRU-bounded by
-`--store-capacity`); per-worker stats are merged deterministically.
+`--store-capacity`); concurrent first requests for one fingerprint
+coalesce onto a single stager, per-worker stats are merged, and answers
+print in file order.
 `--wal PATH` write-ahead-logs every sealed-cache install before the
 request is acknowledged and recovers the store crash-consistently on the
 next start (checkpointing into the `--cache-file` bundle — or
@@ -208,13 +213,14 @@ every append); a crash loses at most the buffered suffix, never a
 flushed record.
 `--listen` switches serve to online mode: argument vectors stream in on
 stdin (one per line, `#` comments allowed) and are answered as they
-complete, tagged `[n]` in arrival order. Concurrent first requests for
-one fingerprint coalesce onto a single stager (per-fingerprint latches);
+complete, tagged `[n]` in arrival order. Only here do the daemon's
+serving knobs apply (with `--requests` they are a usage error):
 `--admission` decides when a fingerprint is worth specializing (`auto` =
 the paper's §4.3 breakeven from calibrated costs, `always`, or a fixed
 rate) — a fingerprint specializes once its exponentially-decaying
 arrival rate reaches breakeven, so one-shot and thinly-spread
-fingerprints are served by the unspecialized fragment, bit-identically. `--max-queue N` bounds the request queue
+fingerprints are served by the unspecialized fragment, bit-identically.
+`--max-queue N` bounds the request queue
 (overflow is shed with a typed error, exit 8), `--deadline-ms N` fails
 requests that cannot be answered in time (never partially, exit 9), and
 EOF or SIGTERM drains gracefully: no new admissions (late arrivals exit
@@ -644,19 +650,9 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Repeated-run mode: specialize once, then serve a requests file through
-/// the staged-execution runtime with the full cache lifecycle — staleness
-/// detection, integrity validation, policy-driven degradation and
-/// (optionally) one injected fault. With `--workers N` the request file is
-/// partitioned across N threads, each running its own [`Session`] over the
-/// shared `Arc<StagedArtifact>` and polyvariant cache store; per-worker
-/// statistics are merged deterministically (worker order) into one
-/// envelope. The exit code reports the worst thing that happened: `5` for
-/// any integrity violation, `4` for any evaluation failure, `0` when every
-/// request was served.
-/// Everything batch `serve` and `serve --listen` share: the specialized
-/// artifact, the shared polyvariant store, WAL recovery (with group
-/// commit), cache-file adoption and deterministic fault arming.
+/// Everything both serve modes set up before the daemon starts: the
+/// specialized artifact, the shared polyvariant store, WAL recovery (with
+/// group commit), cache-file adoption and deterministic fault arming.
 struct ServeSetup {
     entry: String,
     vary: Vec<String>,
@@ -867,21 +863,58 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     })
 }
 
+/// `dsc serve`: specialize once, then serve argument vectors through a
+/// [`Daemon`] — the staged-execution runtime with the full cache
+/// lifecycle (staleness detection, integrity validation, policy-driven
+/// degradation, optional injected faults), single-flight staging, and
+/// `--workers N` threads sharing one artifact and one polyvariant store.
+///
+/// The two request sources differ in three things only:
+///
+/// * `--requests FILE` parses the whole file before anything starts (a
+///   bad line is a usage error, never a half-served stream), runs the
+///   daemon with admission `always`, no deadline and a queue as long as
+///   the file (so replay never sheds), and prints the answers in file
+///   order after the drain;
+/// * `--listen` reads stdin on a thread under the `--admission`,
+///   `--deadline-ms` and `--max-queue` knobs, prints answers as they
+///   complete, and drains on EOF or SIGTERM.
+///
+/// Everything else — the summary, trace stream, metrics envelope,
+/// persist-at-exit step and exit classification ([`serve_exit`]) — is one
+/// code path.
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    if args.flag("listen") {
+    let listen = args.flag("listen");
+    let file_requests = if listen {
         if args.requests().is_some() {
             return Err(CliError::Usage(
                 "--listen reads requests from stdin; drop --requests".into(),
             ));
         }
-        return cmd_serve_listen(args);
-    }
-    let requests_path = args
-        .requests()
-        .ok_or_else(|| UsageError("serve needs --requests PATH (or --listen)".into()))?;
-    let requests_text = std::fs::read_to_string(requests_path)
-        .map_err(|e| CliError::Usage(format!("cannot read `{requests_path}`: {e}")))?;
-    let setup = serve_setup(args)?;
+        None
+    } else {
+        if let Some(flag) = ["max-queue", "deadline-ms", "admission"]
+            .into_iter()
+            .find(|f| args.flag(f))
+        {
+            return Err(CliError::Usage(format!(
+                "--{flag} applies to --listen only; file replay specializes every \
+                 request and never sheds or times out"
+            )));
+        }
+        let path = args
+            .requests()
+            .ok_or_else(|| UsageError("serve needs --requests PATH (or --listen)".into()))?;
+        Some(read_requests(path)?)
+    };
+    let workers = args.workers()?;
+    let (max_queue, deadline_ms, admission) = match &file_requests {
+        // The queue holds the whole file, so replay can never shed.
+        Some(requests) => (requests.len().max(1), None, Admission::Always),
+        None => (args.max_queue()?, args.deadline_ms()?, args.admission()?),
+    };
+    let trace_out = args.trace_out();
+    let stats_every = args.stats_every()?;
     let ServeSetup {
         entry,
         vary,
@@ -891,190 +924,147 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         artifact,
         store,
         wal,
-        mut bootstrap,
+        bootstrap,
         mem_fault,
         seed,
-        mut integrity_errors,
-    } = setup;
-    let workers = args.workers()?;
-    let trace_out = args.trace_out();
-    let stats_every = args.stats_every()?;
-    let mut eval_errors = 0u64;
-    let mut crashed = false;
-    let mut shed = 0u64;
-    let mut deadline_missed = 0u64;
-    let mut drain_rejected = 0u64;
-
-    // The whole request file is parsed before any worker starts, so a bad
-    // line is a usage error (exit 2), never a half-served stream.
-    let mut requests: Vec<Vec<ds_interp::Value>> = Vec::new();
-    for (lineno, line) in requests_text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        requests.push(
-            parse_value_list(line).map_err(|e| {
-                CliError::Usage(format!("`{requests_path}` line {}: {e}", lineno + 1))
-            })?,
-        );
-    }
+        integrity_errors,
+    } = serve_setup(args)?;
+    let cfg = DaemonConfig {
+        workers,
+        max_queue,
+        deadline_ms,
+        admission,
+        runner: ropts,
+        tracing: trace_out.is_some(),
+    };
+    // The bootstrap session only carries setup-time bookkeeping (cache
+    // adoption, WAL recovery); the daemon's workers own their sessions.
+    let mut st = bootstrap.stats().clone();
+    drop(bootstrap);
 
     println!(
-        "serving `{entry}` (engine {engine}, policy {policy}, varying {{{}}}, \
-         workers {workers}, store capacity {})",
+        "{} `{entry}` (engine {engine}, policy {policy}, varying {{{}}}, workers {workers}, \
+         store capacity {}, queue {max_queue}, deadline {}, admission {admission})",
+        if listen { "listening:" } else { "serving" },
         vary.join(", "),
         store.capacity(),
+        deadline_ms.map_or("none".to_string(), |d| format!("{d} ms")),
     );
+    flush_stdout();
 
-    // Partition the requests into contiguous per-worker chunks; worker 0
-    // starts from the bootstrap session (inheriting the adopted local
-    // cache and any armed fault), the rest open fresh sessions against
-    // the same store. Results keep their request index so the output is
-    // printed in file order whatever the interleaving was.
-    let chunk = requests.len().div_ceil(workers.max(1)).max(1);
-    let mut results: Vec<Option<Result<ds_interp::Outcome, RuntimeError>>> = Vec::new();
-    results.resize_with(requests.len(), || None);
-    let mut worker_stats: Vec<RunnerStats> = Vec::new();
-    let mut worker_timing: Vec<Timing> = Vec::new();
-    let mut traces: Vec<ds_runtime::RequestTrace> = Vec::new();
+    let term = listen.then(install_term_flag);
+    let total = file_requests.as_ref().map(|r| r.len() as u64);
     let serve_started = Instant::now();
-    let progress = AtomicU64::new(0);
-    {
-        let mut sessions: Vec<Session> = Vec::new();
-        for w in 0..workers.min(requests.len()) {
-            let mut session = if w == 0 {
-                // With no requests at all this branch never runs, so the
-                // bootstrap session (and its adoption bookkeeping) stays
-                // put for the merge below.
-                std::mem::replace(
-                    &mut bootstrap,
-                    Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts),
-                )
-            } else {
-                Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts)
-            };
-            if w > 0 {
-                if let Some(wal) = &wal {
-                    session.attach_wal(Arc::clone(wal));
-                }
+    let (daemon, rx) = Daemon::start(Arc::clone(&artifact), Arc::clone(&store), wal.clone(), cfg);
+    let daemon = Arc::new(daemon);
+    // An armed in-memory fault rides on the first submitted request.
+    let mut first_fault = mem_fault.map(|f| (f, seed));
+    // File replay collects the `[n]` lines by arrival index and prints
+    // them in file order after the drain; listen mode prints as it goes.
+    let mut in_order: Option<Vec<Option<String>>> = match file_requests {
+        Some(requests) => {
+            let mut lines = vec![None; requests.len()];
+            for (seq, values) in requests.into_iter().enumerate() {
+                lines[seq] = submit(&daemon, seq as u64, values, first_fault.take());
             }
-            if w == 0 {
-                if let Some(fault) = mem_fault {
-                    session.inject(fault, seed).map_err(CliError::Usage)?;
-                }
-            }
-            session.set_tracing(trace_out.is_some());
-            sessions.push(session);
+            daemon.drain();
+            Some(lines)
         }
-        type WorkerOutput = (
-            Vec<(usize, Result<ds_interp::Outcome, RuntimeError>)>,
-            RunnerStats,
-            Timing,
-            Vec<ds_runtime::RequestTrace>,
-        );
-        let total_requests = requests.len() as u64;
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sessions
-                .into_iter()
-                .zip(requests.chunks(chunk).map(<[_]>::to_vec).enumerate())
-                .map(|(mut session, (w, batch))| {
-                    let progress = &progress;
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(batch.len());
-                        for (i, values) in batch.iter().enumerate() {
-                            let res = session.run(values);
-                            let dead = matches!(
-                                &res,
-                                Err(RuntimeError::Wal(ds_runtime::WalError::Crashed { .. }))
-                            );
-                            out.push((w * chunk + i, res));
-                            if let Some(every) = stats_every {
-                                let done = progress.fetch_add(1, Ordering::Relaxed) + 1;
-                                if done.is_multiple_of(every) || done == total_requests {
-                                    let secs = serve_started.elapsed().as_secs_f64();
-                                    eprintln!(
-                                        "serve: {done}/{total_requests} requests \
-                                         ({:.0} req/s)",
-                                        done as f64 / secs.max(1e-9),
-                                    );
-                                }
-                            }
-                            if dead {
-                                // The log writer is dead: model process
-                                // death — the rest of this worker's slice
-                                // is never served.
-                                break;
-                            }
-                        }
-                        let mut local_traces = session.take_traces();
-                        for t in &mut local_traces {
-                            // Rebase this worker's local serve order onto
-                            // the global request index.
-                            t.seq += (w * chunk) as u64;
-                        }
-                        (
-                            out,
-                            session.stats().clone(),
-                            session.timing().clone(),
-                            local_traces,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
-        for (chunk_results, stats, timing, worker_traces) in outputs {
-            for (idx, res) in chunk_results {
-                results[idx] = Some(res);
+        None => {
+            // The reader thread parses stdin and submits; rejections
+            // (malformed line, shed, draining) are printed here, so the
+            // response channel only ever carries executed requests. On
+            // EOF it starts the drain. It is deliberately never joined:
+            // after SIGTERM it may still be parked in a (restarted) stdin
+            // read, and process exit reaps it.
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || {
+                let stdin = std::io::stdin();
+                let mut line = String::new();
+                let mut seq = 0u64;
+                loop {
+                    line.clear();
+                    match stdin.read_line(&mut line) {
+                        Ok(0) | Err(_) => break,
+                        Ok(_) => {}
+                    }
+                    let trimmed = line.trim();
+                    if trimmed.is_empty() || trimmed.starts_with('#') {
+                        continue;
+                    }
+                    let rejected = match parse_value_list(trimmed) {
+                        Ok(values) => submit(&daemon, seq, values, first_fault.take()),
+                        Err(e) => Some(format!("[{}] error: {e}", seq + 1)),
+                    };
+                    if let Some(rejected) = rejected {
+                        println!("{rejected}");
+                        flush_stdout();
+                    }
+                    seq += 1;
+                }
+                daemon.drain();
+            });
+            None
+        }
+    };
+
+    // Response loop, watching the SIGTERM flag between messages. The
+    // channel disconnects when the last worker exits after the drain —
+    // the natural end of the serve.
+    let mut tally = ServeTally {
+        integrity_errors,
+        ..ServeTally::default()
+    };
+    let mut served = 0u64;
+    loop {
+        if term.is_some_and(|t| t.load(Ordering::SeqCst)) {
+            daemon.drain();
+        }
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(resp) => {
+                served += 1;
+                let line = tally.answer(&resp);
+                match &mut in_order {
+                    Some(lines) => lines[resp.seq as usize] = Some(line),
+                    None => {
+                        println!("{line}");
+                        flush_stdout();
+                    }
+                }
+                if let Some(every) = stats_every {
+                    if served.is_multiple_of(every) || Some(served) == total {
+                        let rps = served as f64 / serve_started.elapsed().as_secs_f64().max(1e-9);
+                        let of = total.map_or(String::new(), |t| format!("/{t}"));
+                        eprintln!("serve: {served}{of} requests ({rps:.0} req/s)");
+                    }
+                }
             }
-            worker_stats.push(stats);
-            worker_timing.push(timing);
-            traces.extend(worker_traces);
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    let report = daemon.join();
     let wall = serve_started.elapsed();
-    traces.sort_by_key(|t| t.seq);
-
-    for (idx, res) in results.into_iter().enumerate() {
-        let n = idx + 1;
-        match res {
-            None => println!("[{n}] not served: write-ahead-log writer crashed"),
-            Some(Ok(out)) => match out.value {
-                Some(v) => println!("[{n}] result: {v}  (cost {})", out.cost),
-                None => println!("[{n}] result: (void)  (cost {})", out.cost),
-            },
-            Some(Err(e)) => {
-                match e {
-                    RuntimeError::Integrity(_) => integrity_errors += 1,
-                    RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
-                        eval_errors += 1
-                    }
-                    RuntimeError::Wal(_) => crashed = true,
-                    RuntimeError::DeadlineExceeded { .. } => deadline_missed += 1,
-                    RuntimeError::Overloaded { .. } => shed += 1,
-                    RuntimeError::Draining => drain_rejected += 1,
-                }
-                println!("[{n}] error: {e}");
-            }
-        }
+    for line in in_order.into_iter().flatten().flatten() {
+        println!("{line}");
     }
     if wal.as_ref().is_some_and(|w| w.is_crashed()) {
-        crashed = true;
+        tally.crashed = true;
     }
+    st.merge(&report.stats);
+    let timing = &report.timing;
+    let counters = &report.counters;
 
-    // Merge per-worker statistics in worker order (merge is associative
-    // and commutative, so this is deterministic however requests raced).
-    // The bootstrap session contributes cache-file adoption bookkeeping
-    // when worker 0 did not consume it (no requests at all).
-    let mut st = bootstrap.stats().clone();
-    for ws in &worker_stats {
-        st.merge(ws);
-    }
     println!("---");
+    println!(
+        "drained: {} ({served} response(s) in {:.1} ms)",
+        if term.is_some_and(|t| t.load(Ordering::SeqCst)) {
+            "SIGTERM"
+        } else {
+            "end of input"
+        },
+        wall.as_secs_f64() * 1e3,
+    );
     println!("requests:            {}", st.requests);
     println!("loads:               {}", st.loads);
     println!("stale reloads:       {}", st.stale_reloads);
@@ -1090,15 +1080,21 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         println!("wal replays:         {}", st.wal_replays());
         println!("recovered caches:    {}", st.recovered_caches());
     }
-
-    // Latency is merged the same way as stats (worker order; the merge is
-    // associative and commutative), but kept in its own side-channel: the
-    // numbers are wall-clock and therefore nondeterministic, so they never
-    // enter the `stats` document the parity suites compare.
-    let mut timing = bootstrap.timing().clone();
-    for t in &worker_timing {
-        timing.merge(t);
+    println!("admitted:            {}", counters.admitted());
+    println!("shed (overload):     {}", counters.shed());
+    println!("drain rejections:    {}", counters.drain_rejected());
+    println!("deadline misses:     {}", counters.deadline_missed());
+    println!("peak queue depth:    {}", counters.peak_queue_depth());
+    println!("staged serves:       {}", counters.staged_serves());
+    println!("unspecialized:       {}", counters.unspec_serves());
+    match report.breakeven {
+        None => {}
+        Some(None) => println!("breakeven:           never (specialization does not pay)"),
+        Some(Some(b)) => println!("breakeven:           {b} use(s)"),
     }
+    // Latency is kept apart from `stats`: wall-clock numbers are
+    // nondeterministic, so they never enter the document the parity
+    // suites compare.
     if !timing.total.is_empty() {
         println!("latency end-to-end:  {}", timing.total);
         for (stage, hist) in &timing.stages {
@@ -1120,21 +1116,26 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 ("engine".to_string(), Json::from(engine.to_string())),
                 ("policy".to_string(), Json::from(policy.to_string())),
                 ("workers".to_string(), Json::from(workers as u64)),
-                ("events".to_string(), Json::from(traces.len())),
+                ("events".to_string(), Json::from(report.traces.len())),
             ],
         );
         let mut text = header.compact();
         text.push('\n');
-        for t in &traces {
+        for t in &report.traces {
             text.push_str(&t.to_json().compact());
             text.push('\n');
         }
         std::fs::write(path, text)
             .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-        println!("trace: wrote {path} ({} event(s))", traces.len());
+        println!("trace: wrote {path} ({} event(s))", report.traces.len());
     }
 
     if let Some(path) = args.metrics_out() {
+        let breakeven_json = match report.breakeven {
+            None => Json::Null,
+            Some(None) => Json::from("never"),
+            Some(Some(b)) => Json::from(u64::from(b)),
+        };
         let doc = ds_telemetry::envelope(
             "serve",
             vec![
@@ -1150,10 +1151,19 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                     "store_capacity".to_string(),
                     Json::from(store.capacity() as u64),
                 ),
+                // `stats` also counts the setup-time adoption (recovered
+                // caches, WAL replays) no worker did; `worker_stats` are
+                // the workers' own parts.
                 ("stats".to_string(), st.to_json()),
                 (
                     "worker_stats".to_string(),
-                    Json::Arr(worker_stats.iter().map(RunnerStats::to_json).collect()),
+                    Json::Arr(
+                        report
+                            .worker_stats
+                            .iter()
+                            .map(RunnerStats::to_json)
+                            .collect(),
+                    ),
                 ),
                 ("wall_ms".to_string(), Json::from(wall.as_secs_f64() * 1e3)),
                 (
@@ -1163,7 +1173,17 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 ("latency".to_string(), timing.to_json()),
                 (
                     "worker_latency".to_string(),
-                    Json::Arr(worker_timing.iter().map(Timing::to_json).collect()),
+                    Json::Arr(report.worker_timing.iter().map(Timing::to_json).collect()),
+                ),
+                (
+                    "daemon".to_string(),
+                    Json::obj([
+                        ("admission", Json::from(admission.to_string())),
+                        ("max_queue", Json::from(max_queue as u64)),
+                        ("deadline_ms", deadline_ms.map_or(Json::Null, Json::from)),
+                        ("breakeven", breakeven_json),
+                        ("counters", counters.to_json()),
+                    ]),
                 ),
             ],
         );
@@ -1171,9 +1191,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         println!("metrics: wrote {path}");
     }
 
-    // Persist every validated store entry for the next invocation. In WAL
-    // mode a clean exit compacts everything into a checkpoint; a crashed
-    // writer leaves its log exactly as the crash left it, for recovery.
+    // The final durability step of the drain: a clean exit compacts every
+    // validated store entry into a checkpoint (or the cache file); a
+    // crashed writer leaves its log exactly as the crash left it, for
+    // recovery.
     if let Some(w) = &wal {
         if w.is_crashed() {
             println!("wal: writer crashed; log left on disk for recovery on restart");
@@ -1197,15 +1218,92 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             println!("cache: wrote `{path}`");
         }
     }
+    flush_stdout();
 
     serve_exit(
-        crashed,
-        integrity_errors,
-        eval_errors,
-        shed,
-        deadline_missed,
-        drain_rejected,
+        tally.crashed,
+        tally.integrity_errors,
+        tally.eval_errors,
+        counters.shed(),
+        counters.deadline_missed(),
+        counters.drain_rejected(),
     )
+}
+
+/// Parses a request file completely: one comma-separated argument vector
+/// per line, blank lines and `#` comments skipped.
+fn read_requests(path: &str) -> Result<Vec<Vec<ds_interp::Value>>, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Usage(format!("cannot read `{path}`: {e}")))?;
+    let mut requests = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        requests.push(
+            parse_value_list(line)
+                .map_err(|e| CliError::Usage(format!("`{path}` line {}: {e}", lineno + 1)))?,
+        );
+    }
+    Ok(requests)
+}
+
+/// Submits request `seq` (its 0-based arrival index), returning the
+/// `[n] error:` line of a rejected submit (shed or draining).
+fn submit(
+    daemon: &Daemon,
+    seq: u64,
+    values: Vec<ds_interp::Value>,
+    fault: Option<(Fault, u64)>,
+) -> Option<String> {
+    daemon
+        .submit(seq, values, fault)
+        .err()
+        .map(|e| format!("[{}] error: {e}", seq + 1))
+}
+
+/// The exit-classification counts a serve derives from its answers; shed,
+/// deadline and drain rejections come from the daemon's own counters.
+#[derive(Default)]
+struct ServeTally {
+    integrity_errors: u64,
+    eval_errors: u64,
+    crashed: bool,
+}
+
+impl ServeTally {
+    /// Counts one response and renders its `[n]` line, `n` being the
+    /// 1-based arrival number.
+    fn answer(&mut self, resp: &DaemonResponse) -> String {
+        let n = resp.seq + 1;
+        match &resp.result {
+            Ok(out) => {
+                let suffix = if resp.specialized {
+                    ""
+                } else {
+                    "  (unspecialized)"
+                };
+                match &out.value {
+                    Some(v) => format!("[{n}] result: {v}  (cost {}){suffix}", out.cost),
+                    None => format!("[{n}] result: (void)  (cost {}){suffix}", out.cost),
+                }
+            }
+            Err(e) => {
+                match e {
+                    RuntimeError::Integrity(_) => self.integrity_errors += 1,
+                    RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
+                        self.eval_errors += 1
+                    }
+                    RuntimeError::Wal(_) => self.crashed = true,
+                    RuntimeError::DeadlineExceeded { .. }
+                    | RuntimeError::Overloaded { .. }
+                    | RuntimeError::Draining => {}
+                }
+                format!("[{n}] error: {e}")
+            }
+        }
+    }
 }
 
 /// Flushes stdout after every response line: the daemon's consumers read
@@ -1244,331 +1342,6 @@ fn install_term_flag() -> &'static std::sync::atomic::AtomicBool {
     use std::sync::atomic::AtomicBool;
     static TERM: AtomicBool = AtomicBool::new(false);
     &TERM
-}
-
-/// `dsc serve --listen`: the online specialize-on-demand daemon. Requests
-/// stream in on stdin, answers stream out as they complete; EOF or
-/// SIGTERM drains gracefully (finish queued and in-flight work, final WAL
-/// checkpoint, flush telemetry).
-fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
-    let ServeSetup {
-        entry,
-        vary,
-        engine,
-        policy,
-        ropts,
-        artifact,
-        store,
-        wal,
-        bootstrap,
-        mem_fault,
-        seed,
-        mut integrity_errors,
-    } = serve_setup(args)?;
-    let cfg = ds_runtime::DaemonConfig {
-        workers: args.workers()?,
-        max_queue: args.max_queue()?,
-        deadline_ms: args.deadline_ms()?,
-        admission: args.admission()?,
-        runner: ropts,
-        tracing: args.trace_out().is_some(),
-    };
-    let stats_every = args.stats_every()?;
-    // The bootstrap session only contributed recovery/adoption
-    // bookkeeping; the daemon's workers own their sessions.
-    let bootstrap_stats = bootstrap.stats().clone();
-    let bootstrap_timing = bootstrap.timing().clone();
-    drop(bootstrap);
-
-    println!(
-        "listening: `{entry}` (engine {engine}, policy {policy}, varying {{{}}}, \
-         workers {}, queue {}, deadline {}, admission {})",
-        vary.join(", "),
-        cfg.workers,
-        cfg.max_queue,
-        cfg.deadline_ms
-            .map_or("none".to_string(), |d| format!("{d} ms")),
-        cfg.admission,
-    );
-    flush_stdout();
-
-    let term = install_term_flag();
-    let serve_started = Instant::now();
-    let (daemon, rx) =
-        ds_runtime::Daemon::start(Arc::clone(&artifact), Arc::clone(&store), wal.clone(), cfg);
-    let daemon = Arc::new(daemon);
-
-    // The reader thread parses stdin and submits; admission rejections
-    // (shed, draining) come back synchronously and are printed here, so
-    // the response channel only ever carries executed requests. On EOF it
-    // starts the drain. It is deliberately never joined: after SIGTERM it
-    // may still be parked in a (restarted) stdin read, and process exit
-    // reaps it.
-    {
-        let daemon = Arc::clone(&daemon);
-        let first_fault = mem_fault.map(|f| (f, seed));
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let mut line = String::new();
-            let mut seq = 0u64;
-            let mut first = true;
-            loop {
-                line.clear();
-                match stdin.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                seq += 1;
-                let n = seq;
-                let values = match parse_value_list(trimmed) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        println!("[{n}] error: {e}");
-                        flush_stdout();
-                        continue;
-                    }
-                };
-                // An armed in-memory fault strikes the first request, the
-                // same placement batch serve gives it.
-                let fault = if first {
-                    first = false;
-                    first_fault
-                } else {
-                    None
-                };
-                if let Err(e) = daemon.submit(n, values, fault) {
-                    println!("[{n}] error: {e}");
-                    flush_stdout();
-                }
-            }
-            daemon.drain();
-        });
-    }
-
-    // Response loop: print answers in completion order (tagged with their
-    // arrival number), watching the SIGTERM flag between messages. The
-    // channel disconnects when the last worker exits after the drain —
-    // the natural end of the serve.
-    let mut served = 0u64;
-    let mut eval_errors = 0u64;
-    let mut crashed = false;
-    loop {
-        if term.load(Ordering::SeqCst) {
-            daemon.drain();
-        }
-        match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(resp) => {
-                served += 1;
-                let n = resp.seq;
-                match &resp.result {
-                    Ok(out) => {
-                        let suffix = if resp.specialized {
-                            ""
-                        } else {
-                            "  (unspecialized)"
-                        };
-                        match &out.value {
-                            Some(v) => println!("[{n}] result: {v}  (cost {}){suffix}", out.cost),
-                            None => println!("[{n}] result: (void)  (cost {}){suffix}", out.cost),
-                        }
-                    }
-                    Err(e) => {
-                        match e {
-                            RuntimeError::Integrity(_) => integrity_errors += 1,
-                            RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
-                                eval_errors += 1
-                            }
-                            RuntimeError::Wal(_) => crashed = true,
-                            // Deadline misses and admission rejections are
-                            // already counted by the daemon's counters.
-                            RuntimeError::DeadlineExceeded { .. }
-                            | RuntimeError::Overloaded { .. }
-                            | RuntimeError::Draining => {}
-                        }
-                        println!("[{n}] error: {e}");
-                    }
-                }
-                flush_stdout();
-                if let Some(every) = stats_every {
-                    if served.is_multiple_of(every) {
-                        let secs = serve_started.elapsed().as_secs_f64();
-                        eprintln!(
-                            "serve: {served} response(s) ({:.0} req/s)",
-                            served as f64 / secs.max(1e-9),
-                        );
-                    }
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let report = daemon.join();
-    let wall = serve_started.elapsed();
-    if wal.as_ref().is_some_and(|w| w.is_crashed()) {
-        crashed = true;
-    }
-
-    let mut st = bootstrap_stats;
-    st.merge(&report.stats);
-    let mut timing = bootstrap_timing;
-    timing.merge(&report.timing);
-    let counters = Arc::clone(&report.counters);
-
-    println!("---");
-    println!(
-        "drained: {} ({} response(s) in {:.1} ms)",
-        if term.load(Ordering::SeqCst) {
-            "SIGTERM"
-        } else {
-            "end of input"
-        },
-        served,
-        wall.as_secs_f64() * 1e3,
-    );
-    println!("requests:            {}", st.requests);
-    println!("loads:               {}", st.loads);
-    println!("stale reloads:       {}", st.stale_reloads);
-    println!("reader failures:     {}", st.reader_failures);
-    println!("rebuilds:            {}", st.rebuilds());
-    println!("fallbacks:           {}", st.fallbacks());
-    println!("validation failures: {}", st.validation_failures());
-    println!("store hits:          {}", st.store_hits());
-    println!("store misses:        {}", st.store_misses());
-    println!("store evictions:     {}", st.store_evictions());
-    if wal.is_some() {
-        println!("wal appends:         {}", st.wal_appends());
-        println!("wal replays:         {}", st.wal_replays());
-        println!("recovered caches:    {}", st.recovered_caches());
-    }
-    println!("admitted:            {}", counters.admitted());
-    println!("shed (overload):     {}", counters.shed());
-    println!("drain rejections:    {}", counters.drain_rejected());
-    println!("deadline misses:     {}", counters.deadline_missed());
-    println!("peak queue depth:    {}", counters.peak_queue_depth());
-    println!("staged serves:       {}", counters.staged_serves());
-    println!("unspecialized:       {}", counters.unspec_serves());
-    match report.breakeven {
-        None => {}
-        Some(None) => println!("breakeven:           never (specialization does not pay)"),
-        Some(Some(b)) => println!("breakeven:           {b} use(s)"),
-    }
-    if !timing.total.is_empty() {
-        println!("latency end-to-end:  {}", timing.total);
-        for (stage, hist) in &timing.stages {
-            println!("latency {:<12} {hist}", format!("{stage}:"));
-        }
-    }
-
-    if let Some(path) = args.trace_out() {
-        let header = ds_telemetry::envelope(
-            "trace",
-            vec![
-                ("entry".to_string(), Json::from(entry.as_str())),
-                ("engine".to_string(), Json::from(engine.to_string())),
-                ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(cfg.workers as u64)),
-                ("events".to_string(), Json::from(report.traces.len())),
-            ],
-        );
-        let mut text = header.compact();
-        text.push('\n');
-        for t in &report.traces {
-            text.push_str(&t.to_json().compact());
-            text.push('\n');
-        }
-        std::fs::write(path, text)
-            .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-        println!("trace: wrote {path} ({} event(s))", report.traces.len());
-    }
-
-    if let Some(path) = args.metrics_out() {
-        let breakeven_json = match report.breakeven {
-            None => Json::Null,
-            Some(None) => Json::from("never"),
-            Some(Some(b)) => Json::from(u64::from(b)),
-        };
-        let doc = ds_telemetry::envelope(
-            "serve",
-            vec![
-                ("entry".to_string(), Json::from(entry.as_str())),
-                (
-                    "varying".to_string(),
-                    Json::Arr(vary.iter().map(|v| Json::from(v.as_str())).collect()),
-                ),
-                ("engine".to_string(), Json::from(engine.to_string())),
-                ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(cfg.workers as u64)),
-                (
-                    "store_capacity".to_string(),
-                    Json::from(store.capacity() as u64),
-                ),
-                ("stats".to_string(), st.to_json()),
-                ("wall_ms".to_string(), Json::from(wall.as_secs_f64() * 1e3)),
-                (
-                    "throughput_rps".to_string(),
-                    Json::from(st.requests as f64 / wall.as_secs_f64().max(1e-9)),
-                ),
-                ("latency".to_string(), timing.to_json()),
-                (
-                    "daemon".to_string(),
-                    Json::obj([
-                        ("admission", Json::from(cfg.admission.to_string())),
-                        ("max_queue", Json::from(cfg.max_queue as u64)),
-                        (
-                            "deadline_ms",
-                            cfg.deadline_ms.map_or(Json::Null, Json::from),
-                        ),
-                        ("breakeven", breakeven_json),
-                        ("counters", counters.to_json()),
-                    ]),
-                ),
-            ],
-        );
-        write_metrics(path, &doc)?;
-        println!("metrics: wrote {path}");
-    }
-
-    // Final durability step of the drain: compact the surviving store
-    // into a checkpoint (or persist the cache file), exactly like batch
-    // serve's clean exit.
-    if let Some(w) = &wal {
-        if w.is_crashed() {
-            println!("wal: writer crashed; log left on disk for recovery on restart");
-        } else {
-            w.checkpoint(&store)
-                .map_err(|e| CliError::Usage(format!("cannot checkpoint at exit: {e}")))?;
-            println!("wal: checkpointed store at exit");
-        }
-    } else if let Some(path) = args.cache_file() {
-        let snapshot = store.snapshot();
-        if snapshot.is_empty() {
-            println!("cache: cold at exit; `{path}` not written");
-        } else {
-            let entries: Vec<(u64, ds_interp::CacheBuf)> = snapshot
-                .into_iter()
-                .map(|(fp, entry)| (fp, entry.cache))
-                .collect();
-            let text = ds_runtime::save_store(&entries, artifact.layout_fingerprint());
-            std::fs::write(path, text)
-                .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-            println!("cache: wrote `{path}`");
-        }
-    }
-    flush_stdout();
-
-    serve_exit(
-        crashed,
-        integrity_errors,
-        eval_errors,
-        counters.shed(),
-        counters.deadline_missed(),
-        counters.drain_rejected(),
-    )
 }
 
 /// `dsc report`: render ds-telemetry files (serve metrics, trace JSONL,
@@ -1724,7 +1497,8 @@ fn report_trace_jsonl(path: &str, text: &str) -> Result<(), CliError> {
 /// Flattens every numeric field of `doc` into `(dotted.path, value)`
 /// pairs, in document order. Histogram buckets, decision-event arrays
 /// and the per-worker subtrees are skipped — the former are raw
-/// payloads, and the latter depend on how the stream was partitioned.
+/// payloads, and the latter depend on how requests were scheduled onto
+/// workers.
 fn collect_numeric_leaves(doc: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
     match doc {
         Json::Num(n) => out.push((prefix.to_string(), *n)),

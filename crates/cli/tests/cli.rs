@@ -1069,3 +1069,189 @@ fn sigkill_under_load_then_restart_recovers_from_the_wal_without_restaging() {
     let _ = std::fs::remove_file(&wal);
     let _ = std::fs::remove_file(temp_path("listen-kill.wal.checkpoint"));
 }
+
+/// `--max-queue`, `--deadline-ms` and `--admission` steer the listening
+/// daemon only; with `--requests` they are a usage error, never silently
+/// ignored.
+#[test]
+fn listen_only_flags_are_rejected_in_file_mode() {
+    let src = write_temp("file-flags.mc", DOTPROD);
+    let reqs = write_temp("file-flags-reqs.txt", REQUESTS);
+    for (flag, value) in [
+        ("--max-queue", "4"),
+        ("--deadline-ms", "50"),
+        ("--admission", "always"),
+    ] {
+        let out = dsc(&[
+            "serve",
+            src.to_str().expect("utf8"),
+            "--vary",
+            "z1,z2",
+            "--requests",
+            reqs.to_str().expect("utf8"),
+            flag,
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag}: {err}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("] result:"),
+            "{flag}: nothing may be served"
+        );
+    }
+}
+
+/// The `[n] result:` lines of a serve's stdout, sorted by `n`.
+fn sorted_results(text: &str) -> Vec<String> {
+    let mut lines: Vec<(u64, String)> = text
+        .lines()
+        .filter(|l| l.contains("] result:"))
+        .map(|l| {
+            let n = l[1..l.find(']').expect("[n]")].parse().expect("n");
+            (n, l.to_string())
+        })
+        .collect();
+    lines.sort();
+    lines.into_iter().map(|(_, l)| l).collect()
+}
+
+/// A `[n] result: V  (cost C)` line without its cost: with several
+/// workers, which request of a context pays for the load is scheduling.
+fn without_cost(line: &str) -> &str {
+    line.split("  (cost").next().unwrap_or(line)
+}
+
+/// File replay and the listening daemon are one serve front end: the same
+/// requests give the same answers, the same envelope sections and the same
+/// 0-based trace `seq`, at one and at two workers.
+#[test]
+fn file_replay_and_listen_serve_identically() {
+    let src = write_temp("parity.mc", DOTPROD);
+    // REQUESTS plus a second invariant context (scale differs).
+    let requests = format!("{REQUESTS}1.0,2.0,3.0,4.0,5.0,6.0,4.0\n1.0,2.0,7.0,4.0,5.0,8.0,4.0\n");
+    let reqs = write_temp("parity-reqs.txt", &requests);
+    for workers in ["1", "2"] {
+        let metrics = temp_path(&format!("parity-{workers}-file.json"));
+        let trace = temp_path(&format!("parity-{workers}-file.jsonl"));
+        let listen_metrics = temp_path(&format!("parity-{workers}-listen.json"));
+        let listen_trace = temp_path(&format!("parity-{workers}-listen.jsonl"));
+        let common = [
+            "serve",
+            src.to_str().expect("utf8"),
+            "--vary",
+            "z1,z2",
+            "--workers",
+            workers,
+        ];
+
+        let mut file_args = common.to_vec();
+        file_args.extend([
+            "--requests",
+            reqs.to_str().expect("utf8"),
+            "--metrics-out",
+            metrics.to_str().expect("utf8"),
+            "--trace-out",
+            trace.to_str().expect("utf8"),
+        ]);
+        let file = dsc(&file_args);
+        assert_eq!(
+            file.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&file.stderr)
+        );
+
+        let mut listen_args = common.to_vec();
+        listen_args.extend([
+            "--listen",
+            "--admission",
+            "always",
+            "--metrics-out",
+            listen_metrics.to_str().expect("utf8"),
+            "--trace-out",
+            listen_trace.to_str().expect("utf8"),
+        ]);
+        let mut child = spawn_listen(&listen_args);
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(requests.as_bytes())
+            .expect("write requests");
+        let listen = child.wait_with_output().expect("daemon exits");
+        assert_eq!(
+            listen.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&listen.stderr)
+        );
+
+        let file_text = String::from_utf8_lossy(&file.stdout);
+        let listen_text = String::from_utf8_lossy(&listen.stdout);
+        let answers = sorted_results(&file_text);
+        assert_eq!(answers.len(), 5, "workers {workers}: {file_text}");
+        assert_eq!(
+            file_text
+                .lines()
+                .filter(|l| l.contains("] result:"))
+                .collect::<Vec<_>>(),
+            answers,
+            "workers {workers}: file replay prints in file order"
+        );
+        let listen_answers = sorted_results(&listen_text);
+        assert_eq!(
+            answers.iter().map(|l| without_cost(l)).collect::<Vec<_>>(),
+            listen_answers
+                .iter()
+                .map(|l| without_cost(l))
+                .collect::<Vec<_>>(),
+            "workers {workers}: answers differ between the front ends"
+        );
+        if workers == "1" {
+            // One worker serves in arrival order, so even which request
+            // paid for the load (its cost) is the same.
+            assert_eq!(answers, listen_answers, "costs differ at one worker");
+        }
+
+        for (mode, metrics, trace) in [
+            ("file", &metrics, &trace),
+            ("listen", &listen_metrics, &listen_trace),
+        ] {
+            let doc = ds_telemetry::parse(&std::fs::read_to_string(metrics).expect("metrics"))
+                .expect("metrics parse");
+            for key in [
+                "stats",
+                "worker_stats",
+                "worker_latency",
+                "latency",
+                "daemon",
+            ] {
+                assert!(
+                    doc.get(key).is_some(),
+                    "workers {workers}: {mode} envelope lacks `{key}`"
+                );
+            }
+            let stream = std::fs::read_to_string(trace).expect("trace");
+            let seqs: Vec<u64> = stream
+                .lines()
+                .skip(1)
+                .filter(|l| !l.trim().is_empty())
+                .map(|l| {
+                    ds_telemetry::parse(l)
+                        .expect("event parses")
+                        .get("seq")
+                        .and_then(ds_telemetry::Json::as_u64)
+                        .expect("seq")
+                })
+                .collect();
+            assert_eq!(
+                seqs,
+                vec![0, 1, 2, 3, 4],
+                "workers {workers}: {mode} trace seq is the 0-based arrival index"
+            );
+            let _ = std::fs::remove_file(metrics);
+            let _ = std::fs::remove_file(trace);
+        }
+    }
+}

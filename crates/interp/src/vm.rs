@@ -577,8 +577,9 @@ pub(crate) fn check_args(proc: &CompiledProc, args: &[Value]) -> Result<(), Eval
 
 impl CompiledProgram {
     /// Runs procedure `entry` once on a fresh [`Vm`]. For repeated runs,
-    /// hold a [`Vm`] (or use [`run_batch`](CompiledProgram::run_batch)) so
-    /// its buffers are reused.
+    /// hold a [`Vm`] (or use
+    /// [`run_batch_soa`](CompiledProgram::run_batch_soa)) so its buffers
+    /// are reused.
     ///
     /// # Errors
     ///
@@ -592,34 +593,6 @@ impl CompiledProgram {
         opts: EvalOptions,
     ) -> Result<Outcome, EvalError> {
         Vm::new().run(self, entry, args, cache, opts)
-    }
-
-    /// Runs `entry` once per element of `varying_inputs`, reusing one VM
-    /// and (when given) one cache across the whole batch.
-    ///
-    /// This is the paper's interactive-rendering shape: specialize once,
-    /// fill the cache with the loader, then replay the reader for each new
-    /// value of the varying parameter. Per-input failures do not abort the
-    /// batch — each input gets its own `Result`, so a divide-by-zero at one
-    /// slider position leaves the rest of the sweep intact.
-    ///
-    /// The old array-of-structs loop (one full scalar dispatch per input)
-    /// now forwards to [`run_batch_soa`](CompiledProgram::run_batch_soa),
-    /// which executes in structure-of-arrays lockstep when the program
-    /// permits and falls back to the identical sequential path when it
-    /// does not. Results are bit-exact either way.
-    #[deprecated(
-        note = "use `run_batch_soa`; this name kept the old AoS loop alive and now \
-                         forwards to the SoA executor"
-    )]
-    pub fn run_batch(
-        &self,
-        entry: &str,
-        varying_inputs: &[Vec<Value>],
-        cache: Option<&mut CacheBuf>,
-        opts: EvalOptions,
-    ) -> Vec<Result<Outcome, EvalError>> {
-        self.run_batch_soa(entry, varying_inputs, cache, opts)
     }
 }
 
@@ -846,8 +819,7 @@ mod tests {
             .unwrap();
 
         let sweep: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Float(i as f64)]).collect();
-        #[allow(deprecated)] // the compatibility path must stay green
-        let outs = cp.run_batch("reader", &sweep, Some(&mut cache), opts);
+        let outs = cp.run_batch_soa("reader", &sweep, Some(&mut cache), opts);
         assert_eq!(outs.len(), 100);
         for (i, out) in outs.iter().enumerate() {
             let out = out.as_ref().expect("batch run");

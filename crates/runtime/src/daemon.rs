@@ -30,6 +30,10 @@
 //!   run to completion; [`Daemon::join`] then merges every worker's stats,
 //!   latency histograms and traces into one [`DaemonReport`].
 //!
+//! `dsc serve` drives every request through a daemon: `--listen` feeds it
+//! from stdin, `--requests FILE` submits the whole parsed file under
+//! [`Admission::Always`] with a queue as long as the file.
+//!
 //! Responses travel over an unbounded channel (workers never block on a
 //! slow consumer), tagged with the submitter's sequence number; when the
 //! last worker exits the channel disconnects, which is the caller's signal
@@ -54,7 +58,7 @@ use std::time::{Duration, Instant};
 /// When to specialize a fingerprint (the §4.3 cost-model admission policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Specialize every fingerprint on first arrival (the batch-serve
+    /// Specialize every fingerprint on first arrival (the file-replay
     /// behaviour).
     Always,
     /// Calibrate original/loader/reader costs on the first request and
@@ -164,6 +168,12 @@ pub struct DaemonReport {
     /// `unspec` for admission-unspecialized serves) plus the daemon-level
     /// `queue` stage.
     pub timing: Timing,
+    /// Each worker's own statistics, in worker order; `stats` is their
+    /// merge.
+    pub worker_stats: Vec<RunnerStats>,
+    /// Each worker's own latency histograms, in worker order; `timing` is
+    /// their exact merge.
+    pub worker_timing: Vec<Timing>,
     /// Per-request traces (only when `tracing` was enabled), sorted by
     /// submission sequence number.
     pub traces: Vec<RequestTrace>,
@@ -331,24 +341,31 @@ impl Daemon {
 
     /// Drains (if not already draining) and waits for every worker to
     /// finish the remaining work, then merges their statistics, latency
-    /// histograms and traces. Call after consuming the response channel —
-    /// workers never block on it, so join cannot deadlock either way.
+    /// histograms and traces (keeping the per-worker parts too). Call
+    /// after consuming the response channel — workers never block on it,
+    /// so join cannot deadlock either way.
     pub fn join(&self) -> DaemonReport {
         self.drain();
         let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         let mut stats = RunnerStats::default();
         let mut timing = Timing::new();
         let mut traces = Vec::new();
+        let mut worker_stats = Vec::with_capacity(handles.len());
+        let mut worker_timing = Vec::with_capacity(handles.len());
         for h in handles {
             let (ws, wt, wtr) = h.join().expect("daemon worker panicked");
             stats.merge(&ws);
             timing.merge(&wt);
             traces.extend(wtr);
+            worker_stats.push(ws);
+            worker_timing.push(wt);
         }
         traces.sort_by_key(|t| t.seq);
         DaemonReport {
             stats,
             timing,
+            worker_stats,
+            worker_timing,
             traces,
             counters: Arc::clone(&self.shared.counters),
             breakeven: *lock(&self.shared.breakeven),
@@ -1080,6 +1097,18 @@ mod tests {
         }
         let _ = collect(&rx, 6);
         let report = daemon.join();
+        assert_eq!(report.worker_stats.len(), 2);
+        assert_eq!(report.worker_timing.len(), 2);
+        let mut refolded = (RunnerStats::default(), Timing::new());
+        for (ws, wt) in report.worker_stats.iter().zip(&report.worker_timing) {
+            refolded.0.merge(ws);
+            refolded.1.merge(wt);
+        }
+        assert_eq!(refolded.0, report.stats, "stats is the merge of its parts");
+        assert_eq!(
+            refolded.1, report.timing,
+            "timing is the merge of its parts"
+        );
         assert_eq!(report.traces.len(), 6);
         let seqs: Vec<u64> = report.traces.iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5], "traces carry global seqs");

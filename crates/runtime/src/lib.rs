@@ -3,11 +3,11 @@
 //! The paper's loader/reader protocol (§1, §3.2) silently assumes the
 //! invariant inputs really are invariant and that the cache a reader
 //! consumes was filled by a matching loader. This crate makes those
-//! assumptions *checked*: a [`StagedRunner`] owns the full cache lifecycle
-//! for repeated executions of one specialization —
+//! assumptions *checked*: a [`Session`] owns the full cache lifecycle for
+//! repeated executions of one specialization —
 //!
 //! * **Staleness**: every request fingerprints the invariant-input vector
-//!   ([`StagedRunner::inputs_fingerprint`]) and the specialization layout
+//!   ([`Session::inputs_fingerprint`]) and the specialization layout
 //!   (`CacheLayout::fingerprint`); a mismatch transparently re-runs the
 //!   loader, bounded by a configurable rebuild budget.
 //! * **Integrity**: a freshly loaded cache is sealed with its content
@@ -23,7 +23,7 @@
 //!   [`Fault`] taxonomy (corrupt a store, drop a store, truncate the
 //!   buffer, exhaust fuel, damage a cache file, tear or crash a log
 //!   append) drive the chaos suite, whose invariant is: under every
-//!   injected fault, a runner returns the reference answer or a typed
+//!   injected fault, a session returns the reference answer or a typed
 //!   error — never a silently wrong value.
 //! * **Durability**: an optional write-ahead log ([`wal`]) records every
 //!   sealed-cache install and invalidation before it is acknowledged;
@@ -31,7 +31,7 @@
 //!   truncate at the first invalid record, replay over the latest
 //!   checkpoint), so a crash at any byte yields a *prefix* of the logged
 //!   history — never a wrong answer.
-//! * **Parallel serving**: the immutable half of a runner — staged program,
+//! * **Parallel serving**: the immutable half of a session — staged program,
 //!   compiled bytecode, layout, fixed-parameter indices — lives in a
 //!   `Send + Sync` [`StagedArtifact`]; any number of [`Session`]s share it
 //!   (and a polyvariant, LRU-bounded [`CacheStore`] holding one sealed
@@ -48,7 +48,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 //! use ds_interp::Value;
-//! use ds_runtime::{RunnerOptions, StagedRunner};
+//! use ds_runtime::{CacheStore, RunnerOptions, Session, StagedArtifact};
+//! use std::sync::Arc;
 //!
 //! let part = InputPartition::varying(["z1", "z2"]);
 //! let spec = specialize_source(
@@ -61,16 +62,21 @@
 //!     &part,
 //!     &SpecializeOptions::new(),
 //! )?;
-//! let mut runner = StagedRunner::new(&spec, &part, RunnerOptions::default());
+//! let opts = RunnerOptions::default();
+//! let mut session = Session::new(
+//!     Arc::new(StagedArtifact::new(&spec, &part)),
+//!     Arc::new(CacheStore::new(opts.store_capacity)),
+//!     opts,
+//! );
 //! let args: Vec<Value> = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 2.0]
 //!     .iter().map(|&x| Value::Float(x)).collect();
 //! // First request: cold load (the loader computes the result itself)...
-//! let first = runner.run(&args)?;
+//! let first = session.run(&args)?;
 //! // ...subsequent requests: validated cache + reader.
-//! let again = runner.run(&args)?;
+//! let again = session.run(&args)?;
 //! assert_eq!(first.value, again.value);
 //! assert!(again.cost < first.cost);
-//! assert_eq!(runner.stats().loads, 1);
+//! assert_eq!(session.stats().loads, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -100,7 +106,7 @@ pub use error::{IntegrityError, RuntimeError, WalError};
 pub use fault::{Fault, FaultInjector};
 pub use latch::{ExclusiveLatch, LatchTable, SharedLatch};
 pub use recovery::{recover, recover_or_degrade, Recovery};
-pub use runner::{Policy, RunnerOptions, RunnerStats, StagedRunner};
+pub use runner::{Policy, RunnerOptions, RunnerStats};
 pub use session::Session;
 pub use store::{CacheStore, StoreEntry};
 pub use timing::{RequestOutcome, RequestTrace};

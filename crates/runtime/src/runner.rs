@@ -1,17 +1,15 @@
-//! The staged-execution runner: cache lifecycle, validation, degradation.
+//! Serving configuration and statistics: the degradation [`Policy`], the
+//! [`RunnerOptions`] every [`Session`](crate::Session) is opened with, and
+//! the [`RunnerStats`] it accumulates.
 //!
-//! [`StagedRunner`] owns everything the paper leaves implicit between "run
-//! the loader once" and "run the reader per varying input": *when* the
-//! loader must re-run (stale invariants, a mismatched or damaged cache),
-//! *how* a damaged cache is detected before it can produce a wrong answer,
-//! and *what* happens when staged execution fails at runtime.
-//!
-//! Since the artifact/session split, `StagedRunner` is a thin convenience
-//! wrapper: it builds a private [`StagedArtifact`](crate::StagedArtifact)
-//! and [`CacheStore`](crate::CacheStore) and drives a single
-//! [`Session`](crate::Session) over them. Parallel callers construct the
-//! artifact and store themselves (in [`Arc`](std::sync::Arc)s) and open
-//! one `Session` per worker; the lifecycle below is identical either way.
+//! A session owns everything the paper leaves implicit between "run the
+//! loader once" and "run the reader per varying input": *when* the loader
+//! must re-run (stale invariants, a mismatched or damaged cache), *how* a
+//! damaged cache is detected before it can produce a wrong answer, and
+//! *what* happens when staged execution fails at runtime. Callers build
+//! the immutable [`StagedArtifact`](crate::StagedArtifact) and the
+//! [`CacheStore`](crate::CacheStore) once, in [`Arc`](std::sync::Arc)s,
+//! and open one session per worker over them.
 //!
 //! ## Lifecycle
 //!
@@ -37,19 +35,12 @@
 //! caught as a typed [`IntegrityError`](crate::IntegrityError) — never
 //! consumed silently.
 
-use crate::artifact::StagedArtifact;
-use crate::error::RuntimeError;
-use crate::fault::Fault;
-use crate::session::Session;
-use crate::store::CacheStore;
-use ds_core::{InputPartition, Specialization};
-use ds_interp::{Engine, EvalError, EvalOptions, Outcome, Profile, Value};
+use ds_interp::{Engine, EvalOptions, Profile};
 use ds_telemetry::Json;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
-/// What a runner does when staged execution fails at runtime (reader
+/// What a session does when staged execution fails at runtime (reader
 /// error, failed validation, exhausted rebuild budget).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Policy {
@@ -91,19 +82,20 @@ impl FromStr for Policy {
     }
 }
 
-/// Configuration of a [`Session`] (and of the [`StagedRunner`] wrapper).
+/// Configuration of a [`Session`](crate::Session).
 #[derive(Debug, Clone, Copy)]
 pub struct RunnerOptions {
     /// Which execution engine serves requests.
     pub engine: Engine,
     /// The degradation policy.
     pub policy: Policy,
-    /// How many loader *re*-runs (beyond the initial cold load) the runner
+    /// How many loader *re*-runs (beyond the initial cold load) a session
     /// may spend over its lifetime; bounds rebuild storms.
     pub rebuild_budget: u32,
-    /// Capacity of the polyvariant cache store a [`StagedRunner`] builds
-    /// for itself (sessions opened over an explicit shared store ignore
-    /// this). One sealed cache is kept per invariant fingerprint, up to
+    /// Capacity callers give the polyvariant [`CacheStore`](crate::CacheStore)
+    /// they build for their sessions (`dsc serve --store-capacity`). A
+    /// session never reads it: the store it is opened over is already
+    /// sized. One sealed cache is kept per invariant fingerprint, up to
     /// this many.
     pub store_capacity: usize,
     /// Engine options for every execution (step limit, profiling).
@@ -226,154 +218,14 @@ impl RunnerStats {
     }
 }
 
-/// Owns the full cache lifecycle for repeated staged executions of one
-/// specialization, single-caller edition. See the module docs for the
-/// state machine and [`Session`] for the multi-caller form.
-#[derive(Debug)]
-pub struct StagedRunner {
-    session: Session,
-}
-
-impl StagedRunner {
-    /// Builds a runner for `spec`, whose caches are keyed on the
-    /// parameters `partition` marks as fixed. The staged program is
-    /// compiled for the bytecode engine once, up front; the runner owns a
-    /// private store of [`RunnerOptions::store_capacity`] entries.
-    pub fn new(spec: &Specialization, partition: &InputPartition, opts: RunnerOptions) -> Self {
-        let artifact = Arc::new(StagedArtifact::new(spec, partition));
-        let store = Arc::new(CacheStore::new(opts.store_capacity));
-        StagedRunner {
-            session: Session::new(artifact, store, opts),
-        }
-    }
-
-    /// The shared immutable artifact (clone the `Arc` to open more
-    /// [`Session`]s against it).
-    pub fn artifact(&self) -> &Arc<StagedArtifact> {
-        self.session.artifact()
-    }
-
-    /// The polyvariant cache store (clone the `Arc` to share it).
-    pub fn store(&self) -> &Arc<CacheStore> {
-        self.session.store()
-    }
-
-    /// Robustness statistics accumulated so far.
-    pub fn stats(&self) -> &RunnerStats {
-        self.session.stats()
-    }
-
-    /// Serving-path latency histograms (see [`Session::timing`]) — a
-    /// nondeterministic side-channel, never part of [`RunnerStats`].
-    pub fn timing(&self) -> &ds_telemetry::Timing {
-        self.session.timing()
-    }
-
-    /// Enables or disables per-request trace collection (see
-    /// [`Session::set_tracing`]).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.session.set_tracing(on);
-    }
-
-    /// Drains the traces collected since the last call (see
-    /// [`Session::take_traces`]).
-    pub fn take_traces(&mut self) -> Vec<crate::timing::RequestTrace> {
-        self.session.take_traces()
-    }
-
-    /// Attaches a shared write-ahead log (see [`Session::attach_wal`]).
-    pub fn attach_wal(&mut self, wal: Arc<crate::wal::Wal>) {
-        self.session.attach_wal(wal);
-    }
-
-    /// Installs a recovered store state (see
-    /// [`Session::adopt_recovery`]).
-    pub fn adopt_recovery(&mut self, rec: &crate::recovery::Recovery) {
-        self.session.adopt_recovery(rec);
-    }
-
-    /// Whether the cache is warm (loaded and sealed).
-    pub fn is_warm(&self) -> bool {
-        self.session.is_warm()
-    }
-
-    /// The specialization-layout fingerprint the cache is validated
-    /// against.
-    pub fn layout_fingerprint(&self) -> u64 {
-        self.session.artifact().layout_fingerprint()
-    }
-
-    /// Fingerprint of the invariant-input vector within `args` (the fixed
-    /// parameters, in order, with the layout fingerprint mixed in).
-    pub fn inputs_fingerprint(&self, args: &[Value]) -> u64 {
-        self.session.inputs_fingerprint(args)
-    }
-
-    /// Schedules a one-shot in-memory fault, deterministically sited from
-    /// `seed`.
-    ///
-    /// # Errors
-    ///
-    /// File faults ([`Fault::CorruptFile`], [`Fault::TruncateFile`]) do not
-    /// apply to the in-memory lifecycle; damage the serialized text with
-    /// [`FaultInjector`](crate::FaultInjector) instead.
-    pub fn inject(&mut self, fault: Fault, seed: u64) -> Result<(), String> {
-        self.session.inject(fault, seed)
-    }
-
-    /// Serves one request: validates and (re)builds the cache as needed,
-    /// then runs the reader — or degrades per the configured [`Policy`].
-    ///
-    /// # Errors
-    ///
-    /// A typed [`RuntimeError`]; under every fault model the returned value
-    /// is either the reference answer or one of these.
-    pub fn run(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
-        self.session.run(args)
-    }
-
-    /// The reference oracle: the fragment, tree-walked, uncached. Chaos
-    /// tests compare every successful [`StagedRunner::run`] against this.
-    ///
-    /// # Errors
-    ///
-    /// Any [`EvalError`] of the unspecialized fragment itself.
-    pub fn reference(&self, args: &[Value]) -> Result<Outcome, EvalError> {
-        self.session.reference(args)
-    }
-
-    /// Serializes the warm cache as a checksummed cache file, or `None`
-    /// when cold.
-    pub fn save_cache_text(&self) -> Option<String> {
-        self.session.save_cache_text()
-    }
-
-    /// Serializes every store entry as a cache-store bundle, or `None`
-    /// when the store is empty.
-    pub fn save_store_text(&self) -> Option<String> {
-        self.session.save_store_text()
-    }
-
-    /// Adopts a previously saved cache file (single-entry or bundle),
-    /// fully validating it against this runner's layout first. On success
-    /// the entries are in the store (and, for a single-entry file, the
-    /// cache is warm and sealed); a stale inputs fingerprint is then
-    /// handled by the normal lifecycle on the next request.
-    ///
-    /// # Errors
-    ///
-    /// The [`IntegrityError`](crate::IntegrityError) of the first
-    /// validation failure — a damaged or mismatched file is *always*
-    /// rejected, never partially adopted.
-    pub fn load_cache_text(&mut self, text: &str) -> Result<(), RuntimeError> {
-        self.session.load_cache_text(text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_core::{specialize_source, SpecializeOptions};
+    use crate::error::RuntimeError;
+    use crate::{CacheStore, Session, StagedArtifact};
+    use ds_core::{specialize_source, InputPartition, SpecializeOptions};
+    use ds_interp::Value;
+    use std::sync::Arc;
 
     const DOTPROD: &str = "float dotprod(float x1, float y1, float z1,
                                          float x2, float y2, float z2, float scale) {
@@ -381,15 +233,15 @@ mod tests {
         else { return -1.0; }
     }";
 
-    fn dotprod_runner(opts: RunnerOptions) -> StagedRunner {
-        let spec = specialize_source(
-            DOTPROD,
-            "dotprod",
-            &InputPartition::varying(["z1", "z2"]),
-            &SpecializeOptions::new(),
+    fn dotprod_runner(opts: RunnerOptions) -> Session {
+        let part = InputPartition::varying(["z1", "z2"]);
+        let spec = specialize_source(DOTPROD, "dotprod", &part, &SpecializeOptions::new())
+            .expect("specialize");
+        Session::new(
+            Arc::new(StagedArtifact::new(&spec, &part)),
+            Arc::new(CacheStore::new(opts.store_capacity)),
+            opts,
         )
-        .expect("specialize");
-        StagedRunner::new(&spec, &InputPartition::varying(["z1", "z2"]), opts)
     }
 
     fn argv(z1: f64, z2: f64) -> Vec<Value> {

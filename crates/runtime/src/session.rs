@@ -5,8 +5,8 @@
 //! and statistics — and shares the immutable
 //! [`StagedArtifact`](crate::StagedArtifact) plus the polyvariant
 //! [`CacheStore`](crate::CacheStore) with every other session through
-//! [`Arc`]s. The lifecycle is the one `StagedRunner` always had (see the
-//! [`runner`](crate::runner) module docs), extended with the store:
+//! [`Arc`]s. The lifecycle is drawn in the [`runner`](crate::runner)
+//! module docs; the store extends it:
 //!
 //! * a request whose fingerprint matches the session's local warm cache is
 //!   served straight from that buffer — the hot path takes no lock at all;

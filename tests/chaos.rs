@@ -1,7 +1,7 @@
 //! Chaos suite: fault injection against the staged-execution runtime.
 //!
 //! The guarantee under test (ISSUE 3's acceptance criterion): for **every
-//! fault class × both engines × every policy**, a [`StagedRunner`] returns
+//! fault class × both engines × every policy**, a [`Session`] returns
 //! either the *reference answer* (the uncached tree-walked fragment — the
 //! differential oracle) or a **typed `RuntimeError`** — never a silently
 //! wrong value. And a corrupted or truncated cache *file* is always
@@ -21,8 +21,8 @@ use std::sync::Arc;
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 use ds_interp::{Engine, EvalOptions, Value};
 use ds_runtime::{
-    recover_or_degrade, Fault, FaultInjector, IntegrityError, Policy, RunnerOptions, RuntimeError,
-    StagedRunner, Wal, WalError,
+    recover_or_degrade, CacheStore, Fault, FaultInjector, IntegrityError, Policy, RunnerOptions,
+    RuntimeError, Session, StagedArtifact, Wal, WalError,
 };
 use paper::paper_examples;
 
@@ -44,9 +44,19 @@ fn specialized(
     (spec, part)
 }
 
-fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> StagedRunner {
+/// A single-caller session with a private store of
+/// `opts.store_capacity` entries.
+fn session(spec: &ds_core::Specialization, part: &InputPartition, opts: RunnerOptions) -> Session {
+    Session::new(
+        Arc::new(StagedArtifact::new(spec, part)),
+        Arc::new(CacheStore::new(opts.store_capacity)),
+        opts,
+    )
+}
+
+fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> Session {
     let (spec, part) = specialized(src, entry, varying);
-    StagedRunner::new(&spec, &part, opts)
+    session(&spec, &part, opts)
 }
 
 /// Runs one request and asserts the chaos invariant: a successful outcome
@@ -54,7 +64,7 @@ fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> 
 /// typed `RuntimeError` (which the type system already guarantees — we
 /// record it for the scenario-level assertions). Returns whether the
 /// request succeeded.
-fn checked_request(r: &mut StagedRunner, args: &[Value], ctx: &str) -> bool {
+fn checked_request(r: &mut Session, args: &[Value], ctx: &str) -> bool {
     let want = r
         .reference(args)
         .unwrap_or_else(|e| panic!("{ctx}: reference oracle failed: {e}"))
@@ -270,7 +280,7 @@ fn truncation_and_fuel_faults_take_their_taxonomy_paths() {
 #[test]
 fn damaged_cache_files_are_always_rejected_or_harmless() {
     let (spec, part) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2"]);
-    let mut r = StagedRunner::new(&spec, &part, RunnerOptions::default());
+    let mut r = session(&spec, &part, RunnerOptions::default());
     let args = &paper_examples()[0].arg_sets[0];
     r.run(args).unwrap();
     let text = r.save_cache_text().expect("warm");
@@ -326,14 +336,14 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
 #[test]
 fn cross_specialization_cache_files_are_rejected() {
     let (spec_a, part_a) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2"]);
-    let mut a = StagedRunner::new(&spec_a, &part_a, RunnerOptions::default());
+    let mut a = session(&spec_a, &part_a, RunnerOptions::default());
     let args = &paper_examples()[0].arg_sets[0];
     a.run(args).unwrap();
     let text = a.save_cache_text().unwrap();
 
     // Same program, different partition: different layout.
     let (spec_b, part_b) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2", "scale"]);
-    let mut b = StagedRunner::new(&spec_b, &part_b, RunnerOptions::default());
+    let mut b = session(&spec_b, &part_b, RunnerOptions::default());
     let err = b.load_cache_text(&text).unwrap_err();
     assert!(
         matches!(
@@ -345,7 +355,7 @@ fn cross_specialization_cache_files_are_rejected() {
 
     // Adoption by a matching runner works and is differentially correct.
     for engine in ENGINES {
-        let mut fresh = StagedRunner::new(
+        let mut fresh = session(
             &spec_a,
             &part_a,
             RunnerOptions {
@@ -428,7 +438,8 @@ fn wal_faults_tear_or_crash_but_never_corrupt_an_answer() {
                                 ..RunnerOptions::default()
                             },
                         );
-                        let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), Some(2)));
+                        let wal =
+                            Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), Some(2)));
                         r.attach_wal(Arc::clone(&wal));
                         r.inject(fault, at).expect("wal fault arms");
                         let mut crashes = 0u64;
@@ -530,7 +541,7 @@ fn crashed_writer_restart_serves_recovered_caches_without_restaging() {
             ..RunnerOptions::default()
         },
     );
-    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), None));
+    let wal = Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), None));
     r.attach_wal(Arc::clone(&wal));
     // Stage the first argument set cleanly, then arm a crash far enough
     // out that the *second* install dies mid-record. The second set must
@@ -601,7 +612,7 @@ fn latency_faults_cost_time_but_never_answers() {
                         },
                     );
                     // slow-io needs a log to slow down; stall ignores it.
-                    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), None));
+                    let wal = Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), None));
                     r.attach_wal(Arc::clone(&wal));
                     r.inject(fault, 7).expect("latency fault arms");
                     let started = std::time::Instant::now();

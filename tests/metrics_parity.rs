@@ -123,7 +123,8 @@ fn exported_profile_json_round_trips_and_is_consistent() {
 /// which engine served the stream.
 #[test]
 fn store_counters_are_engine_invariant() {
-    use ds_runtime::{RunnerOptions, StagedRunner};
+    use ds_runtime::{CacheStore, RunnerOptions, Session, StagedArtifact};
+    use std::sync::Arc;
 
     let ex = &paper_examples()[0]; // s2_dotprod
     let part = InputPartition::varying(ex.varying.iter().copied());
@@ -139,9 +140,9 @@ fn store_counters_are_engine_invariant() {
     let docs: Vec<String> = [Engine::Tree, Engine::Vm]
         .into_iter()
         .map(|engine| {
-            let mut r = StagedRunner::new(
-                &spec,
-                &part,
+            let mut r = Session::new(
+                Arc::new(StagedArtifact::new(&spec, &part)),
+                Arc::new(CacheStore::new(1)),
                 RunnerOptions {
                     engine,
                     store_capacity: 1,

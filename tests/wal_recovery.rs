@@ -18,9 +18,19 @@ use ds_core::{specialize_source, InputPartition, Specialization, SpecializeOptio
 use ds_interp::Value;
 use ds_runtime::wal::encode_record;
 use ds_runtime::{
-    recover, recover_or_degrade, scan_log, Fault, Policy, RunnerOptions, StagedRunner, Wal, WalOp,
-    WalRecord,
+    recover, recover_or_degrade, scan_log, CacheStore, Fault, Policy, RunnerOptions, Session,
+    StagedArtifact, Wal, WalOp, WalRecord,
 };
+
+/// A single-caller session with a private store of
+/// `opts.store_capacity` entries.
+fn session(spec: &Specialization, part: &InputPartition, opts: RunnerOptions) -> Session {
+    Session::new(
+        Arc::new(StagedArtifact::new(spec, part)),
+        Arc::new(CacheStore::new(opts.store_capacity)),
+        opts,
+    )
+}
 
 /// A real WAL produced by driving dotprod through installs, a detected
 /// corruption (one invalidate), and the rebuild that follows it.
@@ -44,7 +54,7 @@ fn fixture(checkpoint_every: Option<u64>) -> Fixture {
     let part = InputPartition::varying(ex.varying.iter().copied());
     let spec = specialize_source(ex.src, ex.entry, &part, &SpecializeOptions::new())
         .unwrap_or_else(|e| panic!("specialize: {e}"));
-    let mut r = StagedRunner::new(
+    let mut r = session(
         &spec,
         &part,
         RunnerOptions {
@@ -52,7 +62,10 @@ fn fixture(checkpoint_every: Option<u64>) -> Fixture {
             ..RunnerOptions::default()
         },
     );
-    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), checkpoint_every));
+    let wal = Arc::new(Wal::in_memory(
+        r.artifact().layout_fingerprint(),
+        checkpoint_every,
+    ));
     r.attach_wal(Arc::clone(&wal));
     // Two clean installs; then a loader with a corrupted write (its
     // install is suppressed — see `tampered_installs_are_never_logged`),
@@ -83,7 +96,7 @@ impl Fixture {
     /// invariant; the caller asserts the "valid prefix" half.
     fn assert_recovery_serves(&self, checkpoint: Option<&str>, log: &str, ctx: &str) {
         let (rec, _ckpt_err) = recover_or_degrade(checkpoint, log, &self.spec.layout);
-        let mut r = StagedRunner::new(&self.spec, &self.part, RunnerOptions::default());
+        let mut r = session(&self.spec, &self.part, RunnerOptions::default());
         r.adopt_recovery(&rec);
         for (i, args) in self.arg_sets.iter().enumerate() {
             let want = r
