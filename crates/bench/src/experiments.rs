@@ -435,10 +435,7 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
     [1usize, 2, 4, 8, 16, 64]
         .iter()
         .map(|&interval| {
-            let ropts = ds_runtime::RunnerOptions {
-                rebuild_budget: requests as u32,
-                ..ds_runtime::RunnerOptions::default()
-            };
+            let ropts = ds_runtime::RunnerOptions::default();
             let mut runner = ds_runtime::Session::new(
                 Arc::new(ds_runtime::StagedArtifact::new(&spec, &part)),
                 Arc::new(ds_runtime::CacheStore::new(ropts.store_capacity)),
@@ -538,7 +535,6 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
         .map(|&interval| {
             let stream = stream_for(interval);
             let ropts = ds_runtime::RunnerOptions {
-                rebuild_budget: requests as u32,
                 store_capacity: requests.max(1),
                 ..ds_runtime::RunnerOptions::default()
             };
@@ -670,7 +666,6 @@ pub fn exp_scaling(
         .expect("specialize dotprod");
     let artifact = Arc::new(StagedArtifact::new(&spec, &part));
     let ropts = RunnerOptions {
-        rebuild_budget: requests as u32,
         store_capacity,
         ..RunnerOptions::default()
     };

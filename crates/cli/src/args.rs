@@ -198,7 +198,8 @@ impl Args {
         }
     }
 
-    /// `--rebuild-budget N`: loader re-runs allowed beyond the initial load.
+    /// `--rebuild-budget N`: in-request rebuilds after a damaged cache that
+    /// the `rebuild` policy may spend per worker (loads on a miss are free).
     pub fn rebuild_budget(&self) -> Result<Option<u32>, UsageError> {
         match self.options.get("rebuild-budget") {
             None => Ok(None),

@@ -13,7 +13,7 @@ pub const USAGE: u8 = 2;
 /// specialization failure.
 pub const FRONTEND: u8 = 3;
 
-/// Execution failed: evaluation error or exhausted rebuild budget.
+/// Execution failed: evaluation error.
 pub const EVAL: u8 = 4;
 
 /// Cache integrity violation: corrupted, truncated or mismatched cache

@@ -87,8 +87,7 @@ enum CliError {
     /// The program or partition is invalid: parse, type-check or
     /// specialization failure (exit 3).
     Frontend(String),
-    /// Execution failed: evaluation error or exhausted rebuild budget
-    /// (exit 4).
+    /// Execution failed: evaluation error (exit 4).
     Eval(String),
     /// Cache integrity violation: corrupted, truncated or mismatched
     /// cache data (exit 5).
@@ -1292,9 +1291,7 @@ impl ServeTally {
             Err(e) => {
                 match e {
                     RuntimeError::Integrity(_) => self.integrity_errors += 1,
-                    RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
-                        self.eval_errors += 1
-                    }
+                    RuntimeError::Eval(_) => self.eval_errors += 1,
                     RuntimeError::Wal(_) => self.crashed = true,
                     RuntimeError::DeadlineExceeded { .. }
                     | RuntimeError::Overloaded { .. }

@@ -1255,3 +1255,42 @@ fn file_replay_and_listen_serve_identically() {
         }
     }
 }
+
+/// Liveness through the CLI: 64 requests over 16 contexts that a
+/// 16-entry store can hold are staged once per context and never fall
+/// back, at one worker and at two.
+#[test]
+fn serve_stages_every_context_the_store_holds() {
+    let path = write_temp("live.mc", DOTPROD);
+    let reqs: String = (0..64)
+        .map(|i| format!("{}.0,2.0,{i}.0,4.0,5.0,{}.0,2.0\n", i % 16, i + 1))
+        .collect();
+    let reqs = write_temp("live-reqs.txt", &reqs);
+    for workers in ["1", "2"] {
+        let out = dsc(&[
+            "serve",
+            path.to_str().expect("utf8"),
+            "--vary",
+            "z1,z2",
+            "--requests",
+            reqs.to_str().expect("utf8"),
+            "--store-capacity",
+            "16",
+            "--workers",
+            workers,
+        ]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{text}");
+        assert_eq!(stats_line(&text, "loads:"), Some("16"), "{workers}: {text}");
+        assert_eq!(
+            stats_line(&text, "fallbacks:"),
+            Some("0"),
+            "{workers}: {text}"
+        );
+        assert_eq!(
+            stats_line(&text, "rebuilds:"),
+            Some("0"),
+            "{workers}: {text}"
+        );
+    }
+}

@@ -556,7 +556,6 @@ fn check_serve(case: &FuzzCase) -> Result<(), String> {
         let opts = RunnerOptions {
             engine,
             policy: Policy::FailFast,
-            rebuild_budget: 64,
             ..RunnerOptions::default()
         };
         let solo: Vec<_> = {
@@ -651,7 +650,6 @@ fn check_recovery(case: &FuzzCase) -> Result<(), String> {
     let opts = RunnerOptions {
         engine: Engine::Tree,
         policy: Policy::FailFast,
-        rebuild_budget: 64,
         ..RunnerOptions::default()
     };
     // The uncrashed reference: a solo session with no WAL.

@@ -77,9 +77,10 @@ pub struct Profile {
     /// Total abstract cost charged, duplicated from [`Outcome::cost`] so a
     /// profile is self-contained once exported.
     pub cost: u64,
-    /// Loader re-runs triggered by the staged-execution runtime (stale
-    /// invariants, failed validation, reader recovery). Always 0 for a bare
-    /// engine run; `ds-runtime`'s `Session` fills it in.
+    /// In-request loader re-runs the staged-execution runtime made to
+    /// recover from a failed validation or a failed reader (a load on a
+    /// cache miss is not one). Always 0 for a bare engine run;
+    /// `ds-runtime`'s `Session` fills it in.
     pub rebuilds: u64,
     /// Requests the runtime served by falling back to the unspecialized
     /// fragment. Always 0 for a bare engine run.

@@ -694,6 +694,56 @@ mod tests {
         }
     }
 
+    /// Liveness: under `Admission::Always`, every one of N <= capacity
+    /// distinct contexts is loaded exactly once and every request is served
+    /// staged and bit-exact — on every engine and worker count, however
+    /// long the session lives.
+    #[test]
+    fn every_context_the_store_holds_is_loaded_once_and_never_falls_back() {
+        let (artifact, _) = dotprod_parts();
+        for (contexts, capacity) in [(16usize, 16usize), (5, 8)] {
+            // Four rounds, interleaved: every request switches context.
+            let reqs: Vec<Vec<Value>> = (0..4 * contexts)
+                .map(|i| argv_fixed((i % contexts) as f64, i as f64, 1.0))
+                .collect();
+            for engine in [Engine::Tree, Engine::Vm, Engine::VmBatch] {
+                for workers in [1, 2, 4] {
+                    let ctx = format!("{contexts}/{capacity} {engine:?} x{workers}");
+                    let cfg = DaemonConfig {
+                        workers,
+                        max_queue: reqs.len(),
+                        admission: Admission::Always,
+                        runner: RunnerOptions {
+                            engine,
+                            store_capacity: capacity,
+                            ..RunnerOptions::default()
+                        },
+                        ..DaemonConfig::default()
+                    };
+                    let store = Arc::new(CacheStore::new(capacity));
+                    let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+                    for (i, args) in reqs.iter().enumerate() {
+                        daemon.submit(i as u64, args.clone(), None).expect("submit");
+                    }
+                    for r in collect(&rx, reqs.len()) {
+                        let want = artifact
+                            .reference(&reqs[r.seq as usize], cfg.runner.eval)
+                            .expect("reference")
+                            .value
+                            .expect("value");
+                        let got = r.result.expect("answered").value.expect("value");
+                        assert!(got.bits_eq(&want), "{ctx} seq {}", r.seq);
+                        assert!(r.specialized, "{ctx} seq {}", r.seq);
+                    }
+                    let report = daemon.join();
+                    assert_eq!(report.stats.loads, contexts as u64, "{ctx}");
+                    assert_eq!(report.stats.fallbacks(), 0, "{ctx}");
+                    assert_eq!(report.stats.rebuilds(), 0, "{ctx}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn racing_first_requests_for_one_fingerprint_stage_once() {
         let (artifact, store) = dotprod_parts();

@@ -131,12 +131,6 @@ pub enum RuntimeError {
     Eval(EvalError),
     /// A cache integrity violation that the active policy chose to surface.
     Integrity(IntegrityError),
-    /// A rebuild was required but the configured budget of loader re-runs
-    /// is already spent.
-    RebuildBudgetExhausted {
-        /// The configured budget.
-        budget: u32,
-    },
     /// The attached write-ahead log failed (most importantly: an armed
     /// crash fault killed the writer, modelling process death). The answer
     /// for the request was computed but never durably acknowledged, so it
@@ -167,9 +161,6 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Eval(e) => write!(f, "evaluation failed: {e}"),
             RuntimeError::Integrity(e) => write!(f, "integrity violation: {e}"),
-            RuntimeError::RebuildBudgetExhausted { budget } => {
-                write!(f, "rebuild budget of {budget} loader re-run(s) exhausted")
-            }
             RuntimeError::Wal(e) => write!(f, "durability failure: {e}"),
             RuntimeError::DeadlineExceeded { deadline_ms } => {
                 write!(f, "deadline of {deadline_ms} ms exceeded")
@@ -218,8 +209,6 @@ mod tests {
         };
         assert!(e.to_string().contains("slot 2"));
         assert!(e.to_string().contains("float"));
-        let e = RuntimeError::RebuildBudgetExhausted { budget: 3 };
-        assert!(e.to_string().contains('3'));
         let e = RuntimeError::from(IntegrityError::TamperedSlot { slot: 1 });
         assert!(matches!(e, RuntimeError::Integrity(_)));
         assert!(e.to_string().contains("slot 1"));

@@ -9,7 +9,8 @@
 //! * **Staleness**: every request fingerprints the invariant-input vector
 //!   ([`Session::inputs_fingerprint`]) and the specialization layout
 //!   (`CacheLayout::fingerprint`); a mismatch transparently re-runs the
-//!   loader, bounded by a configurable rebuild budget.
+//!   loader (whether to stage at all is the [`Daemon`]'s admission
+//!   decision).
 //! * **Integrity**: a freshly loaded cache is sealed with its content
 //!   hash; warm requests re-validate the seal, the write-fault shadow and
 //!   the structural shape before trusting the reader. Serialized caches

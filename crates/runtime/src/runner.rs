@@ -16,7 +16,7 @@
 //! ```text
 //!            ┌────────────────────────────────────────────────┐
 //!            ▼                                                │
-//!  Cold ──fetch (store hit, or budget-gated loader run)──▶ Warm{inputs_fp, seal}
+//!  Cold ──fetch (store hit, or loader run on each miss)──▶ Warm{inputs_fp, seal}
 //!            │                                                │
 //!            │ loader error → policy                          │ request
 //!            ▼                                                ▼
@@ -41,19 +41,19 @@ use std::fmt;
 use std::str::FromStr;
 
 /// What a session does when staged execution fails at runtime (reader
-/// error, failed validation, exhausted rebuild budget).
+/// error, failed validation, failed loader).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Policy {
     /// Surface the typed error to the caller; never mask a failure.
     FailFast,
-    /// Re-run the loader (budget permitting) — the reload serves the
-    /// request — and fall back to the unspecialized fragment if the reload
-    /// itself fails or the budget is spent.
+    /// Re-run the loader within the request — the reload serves it — and
+    /// fall back to the unspecialized fragment if the reload itself fails
+    /// or the session's `rebuild_budget` is spent.
     #[default]
     RebuildThenFallback,
     /// Serve the request by evaluating the unspecialized fragment directly;
-    /// the damaged cache is discarded so the normal lifecycle can rebuild
-    /// it on a later request (budget permitting).
+    /// the damaged cache is discarded so the next request for its
+    /// fingerprint reloads it through the ordinary miss path.
     FallbackToUnspecialized,
 }
 
@@ -89,8 +89,8 @@ pub struct RunnerOptions {
     pub engine: Engine,
     /// The degradation policy.
     pub policy: Policy,
-    /// How many loader *re*-runs (beyond the initial cold load) a session
-    /// may spend over its lifetime; bounds rebuild storms.
+    /// How many in-request rebuilds after damage ([`Policy::RebuildThenFallback`])
+    /// a session may spend over its lifetime; loads on a miss never count.
     pub rebuild_budget: u32,
     /// Capacity callers give the polyvariant [`CacheStore`](crate::CacheStore)
     /// they build for their sessions (`dsc serve --store-capacity`). A
@@ -138,7 +138,7 @@ pub struct RunnerStats {
 }
 
 impl RunnerStats {
-    /// Loader re-runs beyond the initial cold load.
+    /// In-request loader re-runs after damage (what `rebuild_budget` bounds).
     pub fn rebuilds(&self) -> u64 {
         self.profile.rebuilds
     }
@@ -221,8 +221,7 @@ impl RunnerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RuntimeError;
-    use crate::{CacheStore, Session, StagedArtifact};
+    use crate::{CacheStore, Fault, Session, StagedArtifact};
     use ds_core::{specialize_source, InputPartition, SpecializeOptions};
     use ds_interp::Value;
     use std::sync::Arc;
@@ -295,7 +294,7 @@ mod tests {
         let got = r.run(&args).expect("rebuild").value;
         assert_eq!(got, want);
         assert_eq!(r.stats().stale_reloads, 1);
-        assert_eq!(r.stats().rebuilds(), 1);
+        assert_eq!(r.stats().rebuilds(), 0, "a miss loads; it is no rebuild");
         assert_eq!(r.stats().loads, 2);
         assert_eq!(r.stats().store_evictions(), 1, "capacity 1 evicted y1=2");
         // And the rebuilt cache serves reads again.
@@ -321,31 +320,40 @@ mod tests {
         assert_eq!(r.stats().store_hits(), 3);
         assert_eq!(r.stats().store_misses(), 2);
         assert_eq!(r.stats().stale_reloads, 1, "only the first switch missed");
-        assert_eq!(r.stats().rebuilds(), 1, "y1=9 was a budget-gated rebuild");
+        assert_eq!(r.stats().rebuilds(), 0, "y1=9 was a miss, not a rebuild");
         assert_eq!(r.stats().store_evictions(), 0);
     }
 
     #[test]
-    fn rebuild_budget_bounds_loader_reruns() {
-        let mut opts = RunnerOptions {
-            rebuild_budget: 1,
-            policy: Policy::FailFast,
+    fn zero_rebuild_budget_still_loads_every_miss() {
+        let mut r = dotprod_runner(RunnerOptions {
+            rebuild_budget: 0,
             ..RunnerOptions::default()
-        };
-        let mut r = dotprod_runner(opts);
-        r.run(&argv_fixed(1.0, 0.0, 0.0)).expect("cold");
-        r.run(&argv_fixed(2.0, 0.0, 0.0)).expect("rebuild 1");
-        let err = r.run(&argv_fixed(3.0, 0.0, 0.0)).unwrap_err();
-        assert_eq!(err, RuntimeError::RebuildBudgetExhausted { budget: 1 });
+        });
+        // The budget never gates a miss: 20 fingerprints, 20 loads.
+        for y1 in 0..20 {
+            let args = argv_fixed(f64::from(y1), 1.0, 2.0);
+            let got = r.run(&args).expect("load").value;
+            assert_eq!(got, r.reference(&args).unwrap().value);
+        }
+        assert_eq!(r.stats().loads, 20);
+        assert_eq!(r.stats().fallbacks(), 0);
+        assert_eq!(r.stats().rebuilds(), 0);
 
-        // Same exhaustion under the fallback policy still serves requests.
-        opts.policy = Policy::FallbackToUnspecialized;
-        let mut r = dotprod_runner(opts);
-        r.run(&argv_fixed(1.0, 0.0, 0.0)).expect("cold");
-        r.run(&argv_fixed(2.0, 0.0, 0.0)).expect("rebuild 1");
-        let args = argv_fixed(3.0, 0.0, 0.0);
+        // It bounds only the in-request rebuild after damage: with none
+        // to spend, the damaged request is served by fallback...
+        r.inject(Fault::CorruptSlot, 1).unwrap();
+        let args = argv_fixed(20.0, 1.0, 2.0);
+        r.run(&args).expect("load writes a corrupted slot");
         let got = r.run(&args).expect("fallback").value;
         assert_eq!(got, r.reference(&args).unwrap().value);
+        assert_eq!(r.stats().validation_failures(), 1);
+        assert_eq!(r.stats().fallbacks(), 1);
+        assert_eq!(r.stats().rebuilds(), 0);
+        assert_eq!(r.stats().loads, 21);
+        // ...and the next request reloads through the miss path.
+        r.run(&args).expect("reload");
+        assert_eq!(r.stats().loads, 22);
         assert_eq!(r.stats().fallbacks(), 1);
     }
 

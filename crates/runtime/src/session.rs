@@ -15,12 +15,14 @@
 //!   so no execution ever runs against shared memory — a torn cache is
 //!   structurally impossible, and the seal + shadow validation still runs
 //!   against the clone;
-//! * only a store miss runs the loader (budget-gated as before), and the
-//!   freshly sealed cache is published back to the store for the other
-//!   sessions (evictions are counted on the publishing session's profile);
+//! * a store miss always runs the loader (whether to stage at all is the
+//!   [`Daemon`](crate::Daemon)'s admission decision), and the freshly
+//!   sealed cache is published back to the store for the other sessions
+//!   (evictions are counted on the publishing session's profile);
 //! * a cache that fails validation is invalidated in the store *and*
 //!   dropped locally before the policy decides how to recover, so a
-//!   damaged entry is never re-served anywhere.
+//!   damaged entry is never re-served anywhere; only the in-request
+//!   rebuild after such damage draws from `rebuild_budget`.
 
 use crate::artifact::StagedArtifact;
 use crate::cachefile;
@@ -77,8 +79,6 @@ pub struct Session {
     /// this buffer only, never against store memory.
     cache: CacheBuf,
     state: CacheState,
-    ever_loaded: bool,
-    rebuilds_used: u32,
     pending: Option<PendingFault>,
     /// Optional shared write-ahead log; when attached, every store install
     /// and invalidation is logged before the request is acknowledged.
@@ -109,8 +109,6 @@ impl Session {
             vm: Vm::new(),
             opts,
             state: CacheState::Cold,
-            ever_loaded: false,
-            rebuilds_used: 0,
             pending: None,
             wal: None,
             stats: RunnerStats::default(),
@@ -155,7 +153,6 @@ impl Session {
         }
         self.stats.profile.recovered_caches += rec.entries.len() as u64;
         self.stats.profile.wal_replays += rec.replayed;
-        self.ever_loaded |= !rec.entries.is_empty();
     }
 
     /// The shared immutable artifact this session executes.
@@ -415,7 +412,6 @@ impl Session {
             );
             self.stats.profile.store_evictions += evicted;
         }
-        self.ever_loaded = true;
         Ok(())
     }
 
@@ -424,7 +420,7 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Appends one operation to the attached log (no-op without one) and
-    /// runs the periodic checkpoint when due. A
+    /// runs the checkpoint when due. A
     /// [`WalError::Crashed`](crate::error::WalError::Crashed)
     /// bypasses the degradation policy entirely: the process is modelled as
     /// dead, so the request fails like a dropped connection — the chaos
@@ -440,7 +436,7 @@ impl Session {
             .push(("wal_append", t.elapsed().as_nanos() as u64));
         appended.map_err(RuntimeError::Wal)?;
         self.stats.profile.wal_appends += 1;
-        if wal.checkpoint_due() {
+        if wal.checkpoint_due(self.store.capacity()) {
             let t = Instant::now();
             let ck = wal.checkpoint(&self.store);
             self.req_stages
@@ -542,21 +538,9 @@ impl Session {
 
     /// Runs the loader to (re)build the cache for `fp`, returning the
     /// loader's own outcome (it computes the result while filling slots),
-    /// and publishes the sealed result to the store. Rebuilds beyond the
-    /// initial load are budget-gated.
+    /// and publishes the sealed result to the store. Unconditional: the
+    /// caller already decided this request is staged.
     fn reload(&mut self, args: &[Value], fp: u64) -> Result<Outcome, RuntimeError> {
-        if self.ever_loaded {
-            if self.rebuilds_used >= self.opts.rebuild_budget {
-                return match self.opts.policy {
-                    Policy::FailFast => Err(RuntimeError::RebuildBudgetExhausted {
-                        budget: self.opts.rebuild_budget,
-                    }),
-                    _ => self.fallback(args),
-                };
-            }
-            self.rebuilds_used += 1;
-            self.stats.profile.rebuilds += 1;
-        }
         self.stats.loads += 1;
         self.cache = CacheBuf::new(self.artifact.layout.slot_count());
         if let Some(PendingFault::Arm(wf)) = self.pending {
@@ -575,7 +559,6 @@ impl Session {
                     inputs_fp: fp,
                     seal,
                 };
-                self.ever_loaded = true;
                 // Publish to the store (clone keeps the tamper shadow, so
                 // a cache corrupted by an armed write fault is still
                 // detected by whichever session pulls it back out).
@@ -634,6 +617,10 @@ impl Session {
             Policy::FailFast => Err(err),
             Policy::RebuildThenFallback => {
                 self.state = CacheState::Cold;
+                if self.stats.profile.rebuilds >= u64::from(self.opts.rebuild_budget) {
+                    return self.fallback(args);
+                }
+                self.stats.profile.rebuilds += 1;
                 self.reload(args, fp)
             }
             Policy::FallbackToUnspecialized => {

@@ -23,7 +23,7 @@ pub enum RequestOutcome {
     Warm,
     /// A fingerprint switch was served by cloning a shared-store entry.
     StoreHit,
-    /// A loader run (cold load or budget-gated rebuild) served it.
+    /// A loader run (a store miss, or a rebuild after damage) served it.
     Load,
     /// The unspecialized fragment served it (degradation policy).
     Fallback,

@@ -37,9 +37,10 @@
 //!
 //! ## Checkpoints
 //!
-//! Every `checkpoint_every` appends the [`Wal`] compacts the log: it
-//! snapshots the store into the existing cache-store bundle format
-//! (tagged with the covered LSN via
+//! Every `checkpoint_every` appends, and once the log holds
+//! [`CHECKPOINT_RECORDS_PER_ENTRY`] records per store entry, the [`Wal`]
+//! compacts the log: it snapshots the store into the existing cache-store
+//! bundle format (tagged with the covered LSN via
 //! [`save_store_at`](crate::cachefile::save_store_at)), installs the
 //! bundle atomically (write-temp-then-rename for file storage), and only
 //! then truncates the log. A crash between install and truncate is
@@ -58,8 +59,8 @@
 //! buffered records — always a suffix, so recovery still yields a strict
 //! prefix of the acknowledged history — in exchange for amortizing the
 //! storage write and the periodic checkpoint across the whole batch.
-//! Periodic checkpoints count flushed *batches*, so `checkpoint_every = C`
-//! with window `W` compacts every `C·W` records.
+//! `checkpoint_every = C` counts flushed *batches*, so with window `W` it
+//! compacts every `C·W` records; the per-entry ceiling counts records.
 
 use crate::cachefile;
 use crate::error::{IntegrityError, WalError};
@@ -68,10 +69,15 @@ use crate::store::CacheStore;
 use ds_core::CacheLayout;
 use ds_interp::{value_bits, CacheBuf};
 use ds_telemetry::Fnv64;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// The record-format version tag opening every log line.
 pub const WAL_MAGIC: &str = "wal1";
+
+/// The log checkpoints itself once the records since its last checkpoint
+/// reach this many times the capacity of the store it mirrors.
+pub const CHECKPOINT_RECORDS_PER_ENTRY: u64 = 16;
 
 /// A log sequence number. LSNs start at 1; 0 means "nothing logged yet"
 /// (and is the chaining value of a checkpoint that covers no records).
@@ -152,34 +158,37 @@ fn letter_type(s: &str, slot: usize) -> Result<ds_lang::Type, IntegrityError> {
     }
 }
 
-/// Encodes one record as a single `\n`-terminated log line.
+/// Encodes one record as a single `\n`-terminated log line, written into
+/// one buffer (hex fields in the cache-file `{:#018x}` format).
 pub fn encode_record(lsn: Lsn, layout_fp: u64, op: &WalOp) -> String {
-    let body = match op {
-        WalOp::Install { inputs_fp, cache } => {
-            let slots: Vec<String> = (0..cache.len())
-                .map(|i| match cache.get(i) {
-                    None => "_".to_string(),
-                    Some(v) => {
-                        let (_, bits) = value_bits(&v);
-                        format!("{}:{}", type_letter(v.ty()), cachefile::hex(bits))
-                    }
-                })
-                .collect();
-            format!(
-                "{WAL_MAGIC} lsn={lsn} op=install layout={} fp={} slots={}",
-                cachefile::hex(layout_fp),
-                cachefile::hex(*inputs_fp),
-                slots.join(",")
-            )
-        }
-        WalOp::Invalidate { inputs_fp } => format!(
-            "{WAL_MAGIC} lsn={lsn} op=invalidate layout={} fp={}",
-            cachefile::hex(layout_fp),
-            cachefile::hex(*inputs_fp),
-        ),
+    // `fmt::Write` into a `String` cannot fail.
+    let mut line = String::with_capacity(128);
+    let (kind, inputs_fp) = match op {
+        WalOp::Install { inputs_fp, .. } => ("install", inputs_fp),
+        WalOp::Invalidate { inputs_fp } => ("invalidate", inputs_fp),
     };
-    let crc = Fnv64::new().str(&body).finish();
-    format!("{body} crc={}\n", cachefile::hex(crc))
+    let _ = write!(
+        line,
+        "{WAL_MAGIC} lsn={lsn} op={kind} layout={layout_fp:#018x} fp={inputs_fp:#018x}"
+    );
+    if let WalOp::Install { cache, .. } = op {
+        line.push_str(" slots=");
+        for i in 0..cache.len() {
+            if i > 0 {
+                line.push(',');
+            }
+            match cache.get(i) {
+                None => line.push('_'),
+                Some(v) => {
+                    let (_, bits) = value_bits(&v);
+                    let _ = write!(line, "{}:{bits:#018x}", type_letter(v.ty()));
+                }
+            }
+        }
+    }
+    let crc = Fnv64::new().str(&line).finish();
+    let _ = writeln!(line, " crc={crc:#018x}");
+    line
 }
 
 fn record_field<'l>(line: &'l str, key: &str) -> Result<&'l str, IntegrityError> {
@@ -539,6 +548,8 @@ struct WalInner {
     next_lsn: Lsn,
     checkpoint_every: Option<u64>,
     appends_since_checkpoint: u64,
+    /// Records appended since the last completed checkpoint.
+    records_since_checkpoint: u64,
     fault: Option<Fault>,
     bytes_written: u64,
     crashed: bool,
@@ -598,6 +609,7 @@ impl Wal {
                 next_lsn: next_lsn.max(1),
                 checkpoint_every: checkpoint_every.filter(|n| *n > 0),
                 appends_since_checkpoint: 0,
+                records_since_checkpoint: 0,
                 fault: None,
                 bytes_written: 0,
                 crashed: false,
@@ -726,6 +738,7 @@ impl Wal {
             flush_inner(&mut g)?;
         }
         g.next_lsn += 1;
+        g.records_since_checkpoint += 1;
         Ok(lsn)
     }
 
@@ -747,12 +760,17 @@ impl Wal {
         flush_inner(&mut g)
     }
 
-    /// Whether enough appends have accumulated for a periodic checkpoint.
-    pub fn checkpoint_due(&self) -> bool {
+    /// Whether a checkpoint is due: `checkpoint_every` appends have
+    /// accumulated, or the records since the last checkpoint have reached
+    /// [`CHECKPOINT_RECORDS_PER_ENTRY`] × `store_capacity` (the capacity of
+    /// the store the log mirrors).
+    pub fn checkpoint_due(&self, store_capacity: usize) -> bool {
         let g = self.lock();
+        let ceiling = CHECKPOINT_RECORDS_PER_ENTRY * store_capacity.max(1) as u64;
         !g.crashed
-            && g.checkpoint_every
-                .is_some_and(|n| g.appends_since_checkpoint >= n)
+            && (g.records_since_checkpoint >= ceiling
+                || g.checkpoint_every
+                    .is_some_and(|n| g.appends_since_checkpoint >= n))
     }
 
     /// Compacts the log into a checkpoint: snapshots `store`, writes it as
@@ -812,6 +830,7 @@ impl Wal {
         g.bytes_written += text.len() as u64;
         g.storage.reset_log("")?;
         g.appends_since_checkpoint = 0;
+        g.records_since_checkpoint = 0;
         Ok(())
     }
 
@@ -891,6 +910,30 @@ mod tests {
         let inv = WalOp::Invalidate { inputs_fp: 42 };
         let line = encode_record(8, l.fingerprint(), &inv);
         assert_eq!(decode_record(line.trim_end(), &l).unwrap().op, inv);
+    }
+
+    /// Pins the on-disk bytes: a format change that still round-trips
+    /// would otherwise pass every other test and orphan existing logs.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let mut c = CacheBuf::new(3);
+        c.set(1, Value::Int(-5));
+        c.set(2, Value::Float(1.5));
+        let install = WalOp::Install {
+            inputs_fp: 0xdead_beef,
+            cache: c,
+        };
+        let layout_fp = 0x0123_4567_89ab_cdef;
+        assert_eq!(
+            encode_record(3, layout_fp, &install),
+            "wal1 lsn=3 op=install layout=0x0123456789abcdef fp=0x00000000deadbeef \
+             slots=_,i:0xfffffffffffffffb,f:0x3ff8000000000000 crc=0x958c7dcd5569dd11\n"
+        );
+        assert_eq!(
+            encode_record(4, layout_fp, &WalOp::Invalidate { inputs_fp: 42 }),
+            "wal1 lsn=4 op=invalidate layout=0x0123456789abcdef fp=0x000000000000002a \
+             crc=0x153d4bde6c696d30\n"
+        );
     }
 
     #[test]
@@ -987,9 +1030,9 @@ mod tests {
             })
             .unwrap();
         }
-        assert!(wal.checkpoint_due());
+        assert!(wal.checkpoint_due(store.capacity()));
         wal.checkpoint(&store).expect("checkpoint");
-        assert!(!wal.checkpoint_due());
+        assert!(!wal.checkpoint_due(store.capacity()));
         assert_eq!(wal.log_text().unwrap(), "", "log truncated");
         let ckpt = wal.checkpoint_text().unwrap().expect("installed");
         let (entries, lsn) = cachefile::parse_store_with_lsn(&ckpt, &l).expect("valid bundle");
@@ -1055,7 +1098,7 @@ mod tests {
             .unwrap();
         }
         // One full batch flushed, one record still buffered: not due yet.
-        assert!(!wal.checkpoint_due());
+        assert!(!wal.checkpoint_due(store.capacity()));
         assert_eq!(wal.pending_appends(), 1);
         // Checkpointing anyway flushes the partial batch first, so the
         // covered LSN really covers every acknowledged record.
@@ -1147,5 +1190,35 @@ mod tests {
         assert_eq!(wal.checkpoint_text().unwrap(), None, "never installed");
         let scan = scan_log(&wal.log_text().unwrap(), &l);
         assert_eq!(scan.records.len(), 1, "log survives the aborted checkpoint");
+    }
+
+    #[test]
+    fn records_per_entry_ceiling_checkpoints_without_a_cadence() {
+        let l = layout();
+        let store = CacheStore::new(2);
+        let ceiling = CHECKPOINT_RECORDS_PER_ENTRY * 2;
+        // Group commit must not stretch the ceiling: it counts records.
+        let wal = Wal::in_memory(l.fingerprint(), None);
+        wal.set_group_commit(4);
+        let install = |i: u64| {
+            wal.append(&WalOp::Install {
+                inputs_fp: i % 2,
+                cache: cache(i as f64),
+            })
+            .unwrap();
+        };
+        for i in 0..ceiling - 1 {
+            install(i);
+        }
+        assert!(!wal.checkpoint_due(store.capacity()));
+        install(ceiling);
+        assert!(wal.checkpoint_due(store.capacity()));
+        // An aborted checkpoint leaves the log (and the debt) in place.
+        wal.arm(Fault::TornWrite(1)).unwrap();
+        wal.checkpoint(&store).unwrap();
+        assert!(wal.checkpoint_due(store.capacity()), "log still long");
+        wal.checkpoint(&store).unwrap();
+        assert!(!wal.checkpoint_due(store.capacity()));
+        assert_eq!(wal.log_text().unwrap(), "");
     }
 }

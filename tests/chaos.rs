@@ -175,10 +175,12 @@ fn corrupt_store_is_detected_and_policies_diverge_correctly() {
                 "{engine:?} {fault}: expected TamperedSlot, got {err}"
             );
             assert_eq!(r.stats().validation_failures(), 1);
-            // And it heals: the next request rebuilds cleanly.
-            let healed = r.run(args).expect("clean rebuild");
+            // And it heals: the next request reloads cleanly through the
+            // miss path (fail-fast never rebuilds inside a request).
+            let healed = r.run(args).expect("clean reload");
             assert_eq!(healed.value, r.reference(args).unwrap().value);
-            assert_eq!(r.stats().rebuilds(), 1);
+            assert_eq!(r.stats().rebuilds(), 0);
+            assert_eq!(r.stats().loads, 2);
 
             // Rebuild policy: the bad cache is rebuilt within the request.
             let mut r = runner_for(
@@ -216,6 +218,61 @@ fn corrupt_store_is_detected_and_policies_diverge_correctly() {
             assert_eq!(out.value, r.reference(args).unwrap().value);
             assert_eq!(r.stats().fallbacks(), 1);
             assert_eq!(r.stats().rebuilds(), 0, "fallback must not rebuild inline");
+        }
+    }
+}
+
+/// A damaged-cache storm: every request for one fingerprint arms a fresh
+/// corrupt-slot fault. Every answer is the reference or a typed error, the
+/// in-request rebuilds stop at `rebuild_budget`, and no request runs more
+/// than one loader: past the budget, damage costs a fallback and the next
+/// request's ordinary miss-path load, never a loop of reloads.
+#[test]
+fn damaged_cache_storm_is_bounded_by_the_rebuild_budget() {
+    let base = &paper_examples()[0].arg_sets[0];
+    for engine in ENGINES {
+        for policy in POLICIES {
+            for budget in [0u32, 3, 8] {
+                let mut r = runner_for(
+                    paper::DOTPROD_SRC,
+                    "dotprod",
+                    &["z1", "z2"],
+                    RunnerOptions {
+                        engine,
+                        policy,
+                        rebuild_budget: budget,
+                        ..RunnerOptions::default()
+                    },
+                );
+                for seed in 0..24u64 {
+                    let ctx = format!("{engine:?} {policy:?} budget {budget} request {seed}");
+                    // One fingerprint throughout: only z1 (varying) moves.
+                    let mut args = base.clone();
+                    args[2] = Value::Float(seed as f64);
+                    r.inject(Fault::CorruptSlot, seed).unwrap();
+                    let loads = r.stats().loads;
+                    let ok = checked_request(&mut r, &args, &ctx);
+                    assert!(
+                        ok || policy == Policy::FailFast,
+                        "{ctx}: recovery surfaced an error"
+                    );
+                    assert!(r.stats().loads - loads <= 1, "{ctx}: more than one loader");
+                    assert!(
+                        r.stats().rebuilds() <= u64::from(budget),
+                        "{ctx}: over budget"
+                    );
+                }
+                let spent = if policy == Policy::RebuildThenFallback {
+                    budget
+                } else {
+                    0
+                };
+                assert_eq!(
+                    r.stats().rebuilds(),
+                    u64::from(spent),
+                    "{engine:?} {policy:?} budget {budget}: the storm spends the budget"
+                );
+            }
         }
     }
 }

@@ -314,3 +314,72 @@ fn replay_skips_records_covered_by_the_checkpoint() {
     );
     full_fx.assert_recovery_serves(Some(&ckpt), &full_fx.log, "covered replay");
 }
+
+/// A log nobody checkpoints by cadence (`checkpoint_every: None`) still
+/// stays bounded: 1000 installs through two sessions over a capacity-4
+/// store never leave more than 16 × 4 = 64 records in the log, and what
+/// the log and its self-made checkpoint hold recovers bit-exactly.
+#[test]
+fn log_without_a_cadence_stays_bounded_by_the_store_capacity() {
+    let ex = paper::paper_examples().swap_remove(0);
+    let part = InputPartition::varying(ex.varying.iter().copied());
+    let spec = specialize_source(ex.src, ex.entry, &part, &SpecializeOptions::new())
+        .unwrap_or_else(|e| panic!("specialize: {e}"));
+    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
+    let store = Arc::new(CacheStore::new(4));
+    let wal = Arc::new(Wal::in_memory(artifact.layout_fingerprint(), None));
+    let mut sessions: Vec<Session> = (0..2)
+        .map(|_| {
+            let mut s = Session::new(artifact.clone(), store.clone(), RunnerOptions::default());
+            s.attach_wal(wal.clone());
+            s
+        })
+        .collect();
+    // A fresh static context per request: every request installs.
+    let args_for = |i: usize| {
+        let mut args = ex.arg_sets[0].clone();
+        args[0] = Value::Float(i as f64 + 0.5);
+        args
+    };
+    for i in 0..1000 {
+        sessions[i % 2].run(&args_for(i)).expect("load");
+        let logged = scan_log(&wal.log_text().unwrap(), &spec.layout)
+            .records
+            .len();
+        assert!(logged <= 64, "request {i}: {logged} records in the log");
+    }
+    let installs: u64 = sessions.iter().map(|s| s.stats().wal_appends()).sum();
+    assert_eq!(installs, 1000);
+    assert!(
+        wal.checkpoint_text().unwrap().is_some(),
+        "the log checkpointed itself"
+    );
+
+    let rec = recover(
+        wal.checkpoint_text().unwrap().as_deref(),
+        &wal.log_text().unwrap(),
+        &spec.layout,
+    )
+    .expect("recover");
+    let mut fresh = Session::new(
+        artifact.clone(),
+        Arc::new(CacheStore::new(1000)),
+        RunnerOptions::default(),
+    );
+    fresh.adopt_recovery(&rec);
+    // The last four contexts were in the store at the end, so they come
+    // back without a load; every answer is bit-exact.
+    for i in (0..1000).rev().take(16) {
+        let args = args_for(i);
+        let got = fresh.run(&args).expect("serve").value.expect("value");
+        let want = fresh
+            .reference(&args)
+            .expect("reference")
+            .value
+            .expect("value");
+        assert!(got.bits_eq(&want), "context {i}: {got} vs {want}");
+        if i >= 996 {
+            assert_eq!(fresh.stats().loads, 0, "context {i} was recovered");
+        }
+    }
+}
