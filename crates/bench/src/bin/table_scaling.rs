@@ -141,11 +141,12 @@ fn main() {
     println!(
         "\n{requests} dotprod requests per cell, store capacity {capacity}; request i \
          belongs to invariant context i mod `contexts`, its varying inputs\n\
-         change every request. Workers split the stream into contiguous chunks, \
-         each a session over the shared artifact + polyvariant store; `speedup`\n\
-         is throughput relative to the same stream served by one worker. Every \
-         cell's answers are compared against the single-threaded tree-walked\n\
-         reference before timing is reported."
+         change every request. The stream is submitted to a daemon with that many \
+         workers over the shared artifact + polyvariant store;\n\
+         the daemon routes each context to one worker, so `loads` equals \
+         `contexts`. `speedup` is throughput relative to the same stream\n\
+         served by one worker. Every cell's answers are compared against the \
+         single-threaded tree-walked reference before timing is reported."
     );
 
     // Durability: the same stream with the write-ahead log off vs on.

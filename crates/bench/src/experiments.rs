@@ -602,11 +602,11 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
 // ---------------------------------------------------------------------
 
 /// One cell of the parallel-scaling matrix: a request stream mixing
-/// `distinct_contexts` invariant contexts, served by `workers` sessions
-/// over one shared artifact and store.
+/// `distinct_contexts` invariant contexts, served by a daemon with
+/// `workers` workers over one shared artifact and store.
 #[derive(Debug, Clone)]
 pub struct ScalingCell {
-    /// Worker threads (sessions) serving the stream.
+    /// Daemon worker threads serving the stream.
     pub workers: usize,
     /// Distinct invariant-input contexts interleaved in the stream.
     pub distinct_contexts: usize,
@@ -647,25 +647,27 @@ fn scaling_requests(requests: usize, contexts: usize) -> Vec<Vec<Value>> {
 }
 
 /// Measures parallel serving throughput: for every worker count x churn
-/// mix, `requests` dotprod requests are partitioned into contiguous
-/// chunks across that many [`ds_runtime::Session`]s sharing one
-/// `Arc<StagedArtifact>` and one polyvariant `CacheStore` of
-/// `store_capacity` entries. Every cell checks its answers against the
-/// single-threaded tree-walked reference, so a scaling win can never be
-/// bought with a wrong result.
+/// mix, `requests` dotprod requests are submitted to a
+/// [`ds_runtime::Daemon`] with that many workers (admission `always`, a
+/// queue as long as the stream) over one `Arc<StagedArtifact>` and one
+/// polyvariant `CacheStore` of `store_capacity` entries. The daemon routes
+/// each invariant context to one worker, so with `store_capacity >=
+/// contexts` every context is loaded exactly once. Every cell checks its
+/// answers against the single-threaded tree-walked reference, so a scaling
+/// win can never be bought with a wrong result.
 pub fn exp_scaling(
     requests: usize,
     worker_counts: &[usize],
     context_counts: &[usize],
     store_capacity: usize,
 ) -> Vec<ScalingCell> {
-    use ds_runtime::{CacheStore, RunnerOptions, Session, StagedArtifact};
+    use ds_runtime::{Admission, CacheStore, Daemon, DaemonConfig, RunnerOptions, StagedArtifact};
 
     let part = InputPartition::varying(["z1", "z2"]);
     let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
         .expect("specialize dotprod");
     let artifact = Arc::new(StagedArtifact::new(&spec, &part));
-    let ropts = RunnerOptions {
+    let runner = RunnerOptions {
         store_capacity,
         ..RunnerOptions::default()
     };
@@ -677,43 +679,34 @@ pub fn exp_scaling(
             .iter()
             .map(|args| {
                 artifact
-                    .reference(args, ropts.eval)
+                    .reference(args, runner.eval)
                     .expect("reference run")
                     .value
             })
             .collect();
         for &workers in worker_counts {
+            let cfg = DaemonConfig {
+                workers,
+                max_queue: requests,
+                admission: Admission::Always,
+                runner,
+                ..DaemonConfig::default()
+            };
             let store = Arc::new(CacheStore::new(store_capacity));
-            let chunk = requests.div_ceil(workers.max(1)).max(1);
             let started = std::time::Instant::now();
-            let per_worker: Vec<(Vec<Option<Value>>, ds_runtime::RunnerStats)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = stream
-                        .chunks(chunk)
-                        .map(|batch| {
-                            let mut session =
-                                Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts);
-                            scope.spawn(move || {
-                                let answers: Vec<Option<Value>> = batch
-                                    .iter()
-                                    .map(|args| session.run(args).expect("staged request").value)
-                                    .collect();
-                                (answers, session.stats().clone())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scaling worker"))
-                        .collect()
-                });
-            let elapsed = started.elapsed();
-            let mut merged = ds_runtime::RunnerStats::default();
-            let mut answers = Vec::with_capacity(requests);
-            for (a, stats) in per_worker {
-                answers.extend(a);
-                merged.merge(&stats);
+            let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+            for (seq, args) in stream.iter().enumerate() {
+                daemon
+                    .submit(seq as u64, args.clone(), None)
+                    .expect("the queue holds the whole stream");
             }
+            daemon.drain();
+            let mut answers = vec![None; requests];
+            for r in rx {
+                answers[r.seq as usize] = r.result.expect("staged request").value;
+            }
+            let elapsed = started.elapsed();
+            let stats = daemon.join().stats;
             let secs = elapsed.as_secs_f64().max(1e-9);
             cells.push(ScalingCell {
                 workers,
@@ -721,9 +714,9 @@ pub fn exp_scaling(
                 requests,
                 elapsed_nanos: elapsed.as_nanos(),
                 throughput: requests as f64 / secs,
-                loads: merged.loads,
-                store_hits: merged.store_hits(),
-                store_evictions: merged.store_evictions(),
+                loads: stats.loads,
+                store_hits: stats.store_hits(),
+                store_evictions: stats.store_evictions(),
                 answers_match: answers == reference,
             });
         }
@@ -849,22 +842,20 @@ mod tests {
 
     #[test]
     fn scaling_cells_match_the_reference_and_load_once_per_context() {
-        let cells = exp_scaling(64, &[1, 2], &[1, 4], 8);
-        assert_eq!(cells.len(), 4);
+        let cells = exp_scaling(64, &[1, 2, 4], &[1, 4], 8);
+        assert_eq!(cells.len(), 6);
         for c in &cells {
             assert!(
                 c.answers_match,
                 "{}x{} diverged",
                 c.workers, c.distinct_contexts
             );
-            // Polyvariance: at most one loader run per (context, worker) —
-            // never one per context *switch*.
-            assert!(
-                c.loads <= (c.distinct_contexts * c.workers) as u64,
-                "{} loads for {} contexts x {} workers",
-                c.loads,
-                c.distinct_contexts,
-                c.workers
+            // The store holds every context and each context has one owning
+            // worker: one loader run per context, at every worker count.
+            assert_eq!(
+                c.loads, c.distinct_contexts as u64,
+                "{} contexts x {} workers",
+                c.distinct_contexts, c.workers
             );
             assert!(c.throughput > 0.0);
         }

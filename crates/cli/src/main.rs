@@ -43,11 +43,11 @@
 //! and/or runtime robustness counters) as a versioned `ds-telemetry` JSON
 //! document.
 //!
-//! Both `serve` modes drive one daemon, hardened with single-flight
-//! staging latches. `--requests` replays a file and prints the answers in
-//! file order; `dsc serve --listen` reads stdin instead (one argument
-//! vector per line), streams answers out as they complete, and adds §4.3
-//! cost-model admission (`--admission`), per-request deadlines
+//! Both `serve` modes drive one daemon, which routes each invariant
+//! context to one worker. `--requests` replays a file and prints the
+//! answers in file order; `dsc serve --listen` reads stdin instead (one
+//! argument vector per line), streams answers out as they complete, and
+//! adds §4.3 cost-model admission (`--admission`), per-request deadlines
 //! (`--deadline-ms`), a bounded queue with load shedding (`--max-queue`)
 //! and graceful drain on EOF or SIGTERM (finish in-flight work,
 //! checkpoint the WAL, flush telemetry).
@@ -198,8 +198,8 @@ crash-at-byte:N) placed by `--seed`.
 Requests go through a daemon whose `--workers N` threads each serve their
 own session over the shared artifact and a polyvariant cache store (one
 sealed cache per invariant fingerprint, LRU-bounded by
-`--store-capacity`); concurrent first requests for one fingerprint
-coalesce onto a single stager, per-worker stats are merged, and answers
+`--store-capacity`); each invariant fingerprint is routed to one
+worker, which stages it once, per-worker stats are merged, and answers
 print in file order.
 `--wal PATH` write-ahead-logs every sealed-cache install before the
 request is acknowledged and recovers the store crash-consistently on the
@@ -865,8 +865,9 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
 /// `dsc serve`: specialize once, then serve argument vectors through a
 /// [`Daemon`] — the staged-execution runtime with the full cache
 /// lifecycle (staleness detection, integrity validation, policy-driven
-/// degradation, optional injected faults), single-flight staging, and
-/// `--workers N` threads sharing one artifact and one polyvariant store.
+/// degradation, optional injected faults) and `--workers N` threads
+/// sharing one artifact and one polyvariant store, each serving the
+/// invariant contexts routed to it.
 ///
 /// The two request sources differ in three things only:
 ///

@@ -2,7 +2,7 @@
 //!
 //! The paper's payoff shape is many evaluations of one small reader: an
 //! 8×8 grid times a slider sweep, or a 640×480 frame. The scalar
-//! [`Vm`](crate::Vm) pays full instruction dispatch — fetch, decode,
+//! [`Vm`] pays full instruction dispatch — fetch, decode,
 //! fuel, cost, profile bookkeeping — once *per input per instruction*.
 //! [`BatchVm`] instead holds the register file as columns (register-major:
 //! all lanes of register `r` are contiguous) and executes each instruction
@@ -24,7 +24,7 @@
 //!   surviving lanes continue undisturbed.
 //! * **Divergence fallback** — when live lanes disagree on a branch
 //!   condition, the batch abandons lockstep and re-runs every remaining
-//!   lane through the scalar [`Vm`](crate::Vm) from the start. Slow, but
+//!   lane through the scalar [`Vm`] from the start. Slow, but
 //!   bit-exact by construction.
 //! * **Sequential routing** — a program that *writes* the cache couples
 //!   its lanes through shared state (lane `i`'s write is visible to lane
@@ -187,7 +187,7 @@ fn regs_written_before_read(prog: &CompiledProgram, entry_idx: usize) -> bool {
 /// A reusable structure-of-arrays batch executor.
 ///
 /// Holds the columnar register file, a scratch buffer and an embedded
-/// scalar [`Vm`](crate::Vm) for the fallback paths, all reused across
+/// scalar [`Vm`] for the fallback paths, all reused across
 /// [`run`](BatchVm::run) calls. See the [module docs](self) for the
 /// execution model.
 #[derive(Debug, Default)]
@@ -1148,7 +1148,7 @@ impl CompiledProgram {
     /// The structure-of-arrays batch executor: each instruction is fetched,
     /// decoded and metered once for the whole batch. Results are
     /// bit-exact against running the scalar VM per lane — values, costs,
-    /// traces, [`Profile`](crate::Profile) counters and typed errors —
+    /// traces, [`Profile`] counters and typed errors —
     /// with faulting lanes masked out and lane-divergent branches falling
     /// back to per-lane execution (see the [module docs](self)).
     ///

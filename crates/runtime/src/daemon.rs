@@ -5,26 +5,31 @@
 //! [`Session`] over the shared artifact, store and (optionally) write-ahead
 //! log. The daemon is hardened end to end:
 //!
-//! * **Single-flight staging.** The first requests for a not-yet-staged
-//!   fingerprint coalesce onto one stager through the per-fingerprint
-//!   [`LatchTable`]: one worker takes the exclusive latch and runs the
-//!   loader while the rest wait on a shared latch and then serve from the
-//!   store — other fingerprints proceed without any global lock.
+//! * **Fingerprint-affine routing.** [`Daemon::submit`] hashes a request's
+//!   invariant inputs once and queues it for the one worker that owns that
+//!   fingerprint. A context is therefore staged by exactly one thread and
+//!   its requests are served in submission order, so no two workers ever
+//!   run the same loader, and each worker's statistics depend only on the
+//!   requests routed to it, not on how the workers interleave. The price
+//!   is imbalance: one hot context keeps one worker busy.
 //! * **Admission control (§4.3).** Under [`Admission::Auto`] the daemon
 //!   calibrates the paper's cost model (original vs loader vs reader
 //!   abstract cost) and specializes a fingerprint only once its
 //!   exponentially-decaying arrival rate reaches the breakeven point —
 //!   recent arrival density, not lifetime count, predicts future uses, so
 //!   a fingerprint whose occasional repeats are spread thin across the
-//!   stream never pays for a loader run. Colder fingerprints are served by
-//!   the unspecialized fragment through [`Session::run_unspecialized`], on
-//!   the configured engine, and traced as `unspecialized`: bit-identical
-//!   by the core theorem, just not specialized.
+//!   stream never pays for a loader run. The owning worker keeps the score
+//!   and decays it by submission index, so the decision is the same at any
+//!   worker count. Colder fingerprints are served by the unspecialized
+//!   fragment through [`Session::run_unspecialized`], on the configured
+//!   engine, and traced as `unspecialized`: bit-identical by the core
+//!   theorem, just not specialized.
 //! * **Deadlines.** A per-request deadline is checked both at dequeue and
 //!   after execution; a late request gets a typed
 //!   [`RuntimeError::DeadlineExceeded`], never a partial or late answer.
-//! * **Backpressure.** The queue is bounded; a full queue sheds the
-//!   request at submission with a typed [`RuntimeError::Overloaded`].
+//! * **Backpressure.** The queue is bounded (over all workers); a full
+//!   queue sheds the request at submission with a typed
+//!   [`RuntimeError::Overloaded`].
 //! * **Graceful drain.** [`Daemon::drain`] closes admission (later submits
 //!   get [`RuntimeError::Draining`]) while queued and in-flight requests
 //!   run to completion; [`Daemon::join`] then merges every worker's stats,
@@ -42,7 +47,6 @@
 use crate::artifact::StagedArtifact;
 use crate::error::RuntimeError;
 use crate::fault::Fault;
-use crate::latch::LatchTable;
 use crate::runner::{RunnerOptions, RunnerStats};
 use crate::session::Session;
 use crate::store::CacheStore;
@@ -52,7 +56,7 @@ use ds_interp::{Outcome, Value};
 use ds_telemetry::{ServeCounters, Timing};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// When to specialize a fingerprint (the §4.3 cost-model admission policy).
@@ -186,34 +190,50 @@ pub struct DaemonReport {
 
 struct Queued {
     seq: u64,
+    /// The invariant-input fingerprint, hashed once at submission.
+    fp: u64,
+    /// Submission index: the admission clock.
+    tick: u64,
     args: Vec<Value>,
     fault: Option<(Fault, u64)>,
     enqueued: Instant,
 }
 
 struct QueueState {
-    queue: VecDeque<Queued>,
+    /// One FIFO per worker; a request joins the queue of the worker that
+    /// owns its fingerprint.
+    queues: Vec<VecDeque<Queued>>,
+    /// Requests queued over all workers (what `max_queue` bounds).
+    len: usize,
+    /// Requests accepted so far.
+    submitted: u64,
     draining: bool,
 }
 
 struct Shared {
     artifact: Arc<StagedArtifact>,
     store: Arc<CacheStore>,
-    latches: LatchTable,
     q: Mutex<QueueState>,
-    cv: Condvar,
+    /// One wake-up per worker, all under `q`.
+    ready: Vec<Condvar>,
     cfg: DaemonConfig,
     counters: Arc<ServeCounters>,
-    /// Per-fingerprint exponentially-decaying arrival rates driving
-    /// admission (recent arrival density, not lifetime count, is the
-    /// predictor of future uses).
-    rates: Mutex<RateTable>,
-    /// Lazily calibrated breakeven (`None` = not yet calibrated).
-    breakeven: Mutex<Option<Option<u32>>>,
+    /// The §4.3 breakeven: pinned at start under [`Admission::After`],
+    /// calibrated from the first submitted request under
+    /// [`Admission::Auto`], never set under [`Admission::Always`].
+    breakeven: OnceLock<Option<u32>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The worker that owns `fp`: `⌊fp · workers / 2⁶⁴⌋`, the fingerprint's
+/// high bits. FNV-1a's low bit is the parity of the low bits of every byte
+/// it hashed (its prime is odd), so contexts told apart by small integral
+/// floats, whose low bytes are zero, would all share `fp % 2`.
+fn owner(fp: u64, workers: usize) -> usize {
+    ((u128::from(fp) * workers as u128) >> 64) as usize
 }
 
 type WorkerOut = (RunnerStats, Timing, Vec<RequestTrace>);
@@ -236,29 +256,31 @@ impl Daemon {
         cfg: DaemonConfig,
     ) -> (Daemon, Receiver<DaemonResponse>) {
         let (tx, rx) = std::sync::mpsc::channel();
+        let workers = cfg.workers.max(1);
+        let breakeven = OnceLock::new();
+        if let Admission::After(n) = cfg.admission {
+            let _ = breakeven.set(Some(n));
+        }
         let shared = Arc::new(Shared {
             artifact,
             store,
-            latches: LatchTable::new(),
             q: Mutex::new(QueueState {
-                queue: VecDeque::new(),
+                queues: (0..workers).map(|_| VecDeque::new()).collect(),
+                len: 0,
+                submitted: 0,
                 draining: false,
             }),
-            cv: Condvar::new(),
+            ready: (0..workers).map(|_| Condvar::new()).collect(),
             cfg,
             counters: Arc::new(ServeCounters::new()),
-            rates: Mutex::new(RateTable::default()),
-            breakeven: Mutex::new(match cfg.admission {
-                Admission::After(n) => Some(Some(n)),
-                _ => None,
-            }),
+            breakeven,
         });
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
+        let workers = (0..workers)
+            .map(|w| {
                 let shared = Arc::clone(&shared);
                 let wal = wal.clone();
                 let tx = tx.clone();
-                std::thread::spawn(move || worker(shared, wal, tx))
+                std::thread::spawn(move || worker(shared, w, wal, tx))
             })
             .collect();
         (
@@ -270,31 +292,23 @@ impl Daemon {
         )
     }
 
-    /// Admission/backpressure/drain counters, shared with every worker.
-    pub fn counters(&self) -> &Arc<ServeCounters> {
-        &self.shared.counters
-    }
-
-    /// The calibrated breakeven so far (see [`DaemonReport::breakeven`]).
-    pub fn breakeven(&self) -> Option<Option<u32>> {
-        *lock(&self.shared.breakeven)
-    }
-
     /// Pins the breakeven instead of calibrating (tests only: real
     /// artifacts in this language rarely produce the `None` = never-pays
-    /// verdict naturally, but the daemon must honour it).
+    /// verdict naturally, but the daemon must honour it). Call before the
+    /// first submit.
     #[cfg(test)]
     fn preseed_breakeven(&self, breakeven: Option<u32>) {
-        *lock(&self.shared.breakeven) = Some(breakeven);
+        self.shared
+            .breakeven
+            .set(breakeven)
+            .expect("breakeven not yet calibrated");
     }
 
-    /// Current queue length (for tests and heartbeats; racy by nature).
-    pub fn queue_len(&self) -> usize {
-        lock(&self.shared.q).queue.len()
-    }
-
-    /// Submits one request. `fault` optionally schedules a one-shot fault
-    /// on the serving session right before this request executes.
+    /// Submits one request to the worker that owns its invariant
+    /// fingerprint. `fault` optionally schedules a one-shot fault on that
+    /// worker's session right before this request executes. Under
+    /// [`Admission::Auto`] the first submit also calibrates the cost model
+    /// on its arguments.
     ///
     /// # Errors
     ///
@@ -307,26 +321,37 @@ impl Daemon {
         args: Vec<Value>,
         fault: Option<(Fault, u64)>,
     ) -> Result<(), RuntimeError> {
-        let mut q = lock(&self.shared.q);
+        let shared = &*self.shared;
+        if shared.cfg.admission == Admission::Auto {
+            shared.breakeven.get_or_init(|| calibrate(shared, &args));
+        }
+        let fp = shared.artifact.inputs_fingerprint(&args);
+        let w = owner(fp, shared.ready.len());
+        let mut q = lock(&shared.q);
         if q.draining {
-            self.shared.counters.note_drain_rejected();
+            shared.counters.note_drain_rejected();
             return Err(RuntimeError::Draining);
         }
-        if q.queue.len() >= self.shared.cfg.max_queue {
-            self.shared.counters.note_shed();
+        if q.len >= shared.cfg.max_queue {
+            shared.counters.note_shed();
             return Err(RuntimeError::Overloaded {
-                max_queue: self.shared.cfg.max_queue,
+                max_queue: shared.cfg.max_queue,
             });
         }
-        q.queue.push_back(Queued {
+        q.submitted += 1;
+        let tick = q.submitted;
+        q.queues[w].push_back(Queued {
             seq,
+            fp,
+            tick,
             args,
             fault,
             enqueued: Instant::now(),
         });
-        self.shared.counters.note_admitted(q.queue.len() as u64);
+        q.len += 1;
+        shared.counters.note_admitted(q.len as u64);
         drop(q);
-        self.shared.cv.notify_one();
+        shared.ready[w].notify_one();
         Ok(())
     }
 
@@ -336,7 +361,9 @@ impl Daemon {
     /// response channel disconnects. Idempotent.
     pub fn drain(&self) {
         lock(&self.shared.q).draining = true;
-        self.shared.cv.notify_all();
+        for cv in &self.shared.ready {
+            cv.notify_one();
+        }
     }
 
     /// Drains (if not already draining) and waits for every worker to
@@ -368,24 +395,27 @@ impl Daemon {
             worker_timing,
             traces,
             counters: Arc::clone(&self.shared.counters),
-            breakeven: *lock(&self.shared.breakeven),
+            breakeven: self.shared.breakeven.get().copied(),
         }
     }
 }
 
-/// Dequeues until the queue is empty *and* draining; `None` ends the
-/// worker.
-fn dequeue(shared: &Shared) -> Option<Queued> {
+/// Dequeues worker `w`'s next request, waiting until its queue is empty
+/// *and* the daemon is draining; `None` ends the worker.
+fn dequeue(shared: &Shared, w: usize) -> Option<Queued> {
     let mut q = lock(&shared.q);
     loop {
-        if let Some(req) = q.queue.pop_front() {
-            shared.counters.note_dequeued(q.queue.len() as u64);
+        if let Some(req) = q.queues[w].pop_front() {
+            q.len -= 1;
+            shared.counters.note_dequeued(q.len as u64);
             return Some(req);
         }
         if q.draining {
             return None;
         }
-        q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+        q = shared.ready[w]
+            .wait(q)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -399,45 +429,27 @@ const ADMIT_DECAY: f64 = 0.9;
 /// any loader eventually.
 const ADMIT_SCORE_CAP: u32 = 10;
 
-/// Exponentially-decaying per-fingerprint arrival rates. The clock is the
-/// global arrival counter — not wall time — so admission is deterministic
-/// for a given request interleaving.
+/// Exponentially-decaying arrival rates of the fingerprints one worker
+/// owns: fingerprint → (score, tick of its last arrival). The clock is the
+/// daemon-wide submission index — not wall time, not the serve order — so
+/// admission is deterministic for a given submission order.
 #[derive(Default)]
-struct RateTable {
-    tick: u64,
-    scores: HashMap<u64, FpRate>,
-}
-
-struct FpRate {
-    score: f64,
-    last_tick: u64,
-}
+struct RateTable(HashMap<u64, (f64, u64)>);
 
 impl RateTable {
-    /// Records one arrival of `fp` and returns its decayed score.
-    fn bump(&mut self, fp: u64) -> f64 {
-        self.tick += 1;
-        let e = self.scores.entry(fp).or_insert(FpRate {
-            score: 0.0,
-            last_tick: self.tick,
-        });
-        e.score = e.score * ADMIT_DECAY.powf((self.tick - e.last_tick) as f64) + 1.0;
-        e.last_tick = self.tick;
-        e.score
+    /// Records the arrival of `fp` submitted at `tick` and returns its
+    /// decayed score.
+    fn bump(&mut self, fp: u64, tick: u64) -> f64 {
+        let (score, last) = self.0.entry(fp).or_insert((0.0, tick));
+        *score = *score * ADMIT_DECAY.powf((tick - *last) as f64) + 1.0;
+        *last = tick;
+        *score
     }
 }
 
-/// Decides whether this arrival of `fp` is served specialized, scoring the
-/// arrival and calibrating the cost model on first use when needed.
-fn admit_specialized(shared: &Shared, args: &[Value], fp: u64) -> bool {
-    let score = lock(&shared.rates).bump(fp);
-    if shared.cfg.admission == Admission::Always {
-        return true;
-    }
-    let breakeven = {
-        let mut bk = lock(&shared.breakeven);
-        *bk.get_or_insert_with(|| calibrate(shared, args))
-    };
+/// Whether a request whose fingerprint scores `score` is served
+/// specialized under a calibrated or pinned `breakeven`.
+fn admit(breakeven: Option<u32>, score: f64) -> bool {
     match breakeven {
         // Specialization never pays: serve unspecialized forever.
         None => false,
@@ -473,40 +485,12 @@ fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
     }
 }
 
-/// Serves one staged request with single-flight staging: probe the store
-/// under a shared latch, or take the exclusive latch to stage; latecomers
-/// wait on a shared latch and re-probe once the stager finishes. Requests
-/// for other fingerprints never contend.
-fn serve_staged(
-    shared: &Shared,
-    session: &mut Session,
-    args: &[Value],
-    fp: u64,
-) -> Result<Outcome, RuntimeError> {
-    loop {
-        if session.store().touch(fp) {
-            // Staged already: serve under a shared latch (concurrent with
-            // every other reader of this fingerprint).
-            let _shared = shared.latches.shared(fp);
-            return session.run(args);
-        }
-        match shared.latches.try_exclusive(fp) {
-            Some(_stage) => {
-                // This worker is the single stager for `fp`; the session
-                // lifecycle loads, seals and publishes to the store.
-                return session.run(args);
-            }
-            None => {
-                // Another worker is staging `fp` right now: wait for it
-                // (shared blocks behind exclusive), then loop to re-probe
-                // the store instead of duplicating the load.
-                let _wait = shared.latches.shared(fp);
-            }
-        }
-    }
-}
-
-fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>) -> WorkerOut {
+fn worker(
+    shared: Arc<Shared>,
+    w: usize,
+    wal: Option<Arc<Wal>>,
+    tx: Sender<DaemonResponse>,
+) -> WorkerOut {
     let mut session = Session::new(
         Arc::clone(&shared.artifact),
         Arc::clone(&shared.store),
@@ -516,11 +500,12 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
         session.attach_wal(wal);
     }
     session.set_tracing(shared.cfg.tracing);
+    let mut rates = RateTable::default();
     // Daemon-level latency overlay: queue wait for every request.
     let mut overlay = Timing::new();
     let mut traces: Vec<RequestTrace> = Vec::new();
     let deadline = shared.cfg.deadline_ms.map(Duration::from_millis);
-    while let Some(req) = dequeue(&shared) {
+    while let Some(req) = dequeue(&shared, w) {
         let queue_nanos = req.enqueued.elapsed().as_nanos() as u64;
         overlay.record_stage("queue", queue_nanos);
         // Deadline check at dequeue: a request that already waited out its
@@ -530,7 +515,7 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
             if shared.cfg.tracing {
                 traces.push(RequestTrace {
                     seq: req.seq,
-                    inputs_fp: session.inputs_fingerprint(&req.args),
+                    inputs_fp: req.fp,
                     outcome: RequestOutcome::Error,
                     total_nanos: queue_nanos,
                     stages: vec![("queue", queue_nanos)],
@@ -552,11 +537,16 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
             // ever *degrade* service, never answers.
             let _ = session.inject(fault, seed);
         }
-        let fp = session.inputs_fingerprint(&req.args);
-        let specialized = admit_specialized(&shared, &req.args, fp);
+        // This worker is the only one serving `req.fp`, so a staged request
+        // needs no coordination: the session loads on a miss and publishes
+        // the sealed cache to the store.
+        let specialized = match shared.breakeven.get() {
+            Some(&breakeven) => admit(breakeven, rates.bump(req.fp, req.tick)),
+            None => true,
+        };
         let mut result = if specialized {
             shared.counters.note_staged_serve();
-            serve_staged(&shared, &mut session, &req.args, fp)
+            session.run(&req.args)
         } else {
             shared.counters.note_unspec_serve();
             session.run_unspecialized(&req.args)
@@ -744,6 +734,26 @@ mod tests {
         }
     }
 
+    /// FNV-1a's low bit is the parity of the low bits of every byte it
+    /// hashed, so contexts told apart by small integral floats (whose low
+    /// bytes are all zero) share `fp % 2`; routing on the high bits still
+    /// spreads them over every worker.
+    #[test]
+    fn routing_spreads_contexts_that_share_the_low_fingerprint_bit() {
+        let (artifact, _) = dotprod_parts();
+        let fps: Vec<u64> = (2..17)
+            .map(|y| artifact.inputs_fingerprint(&argv_fixed(f64::from(y), 0.0, 1.0)))
+            .collect();
+        assert!(fps.iter().all(|fp| fp % 2 == fps[0] % 2));
+        for workers in [2, 4] {
+            let mut owned = vec![0; workers];
+            for &fp in &fps {
+                owned[owner(fp, workers)] += 1;
+            }
+            assert!(owned.iter().all(|&n| n > 0), "x{workers}: {owned:?}");
+        }
+    }
+
     #[test]
     fn racing_first_requests_for_one_fingerprint_stage_once() {
         let (artifact, store) = dotprod_parts();
@@ -754,8 +764,7 @@ mod tests {
         };
         let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
         // 32 concurrent requests, all the same invariant fingerprint:
-        // without single-flight latching up to 8 workers would each run
-        // the loader.
+        // dealt to any worker, up to 8 workers would each run the loader.
         for i in 0..32u64 {
             daemon
                 .submit(i, argv_fixed(2.0, i as f64, 1.0), None)
@@ -766,9 +775,131 @@ mod tests {
         let report = daemon.join();
         assert_eq!(
             report.stats.loads, 1,
-            "one stager; everyone else waited on the latch and hit the store"
+            "one fingerprint, one owning worker, one load"
         );
         assert_eq!(report.stats.requests, 32);
+    }
+
+    /// A request's arguments and its optional one-shot fault.
+    type Request = (Vec<Value>, Option<(Fault, u64)>);
+
+    /// One daemon run of `reqs` (all submitted up front): the
+    /// `specialized` flag of every response in submission order, and the
+    /// report.
+    fn serve_stream(
+        artifact: &Arc<StagedArtifact>,
+        reqs: &[Request],
+        cfg: DaemonConfig,
+        preseed: Option<u32>,
+    ) -> (Vec<bool>, DaemonReport) {
+        let store = Arc::new(CacheStore::new(cfg.runner.store_capacity));
+        let (daemon, rx) = Daemon::start(Arc::clone(artifact), store, None, cfg);
+        if preseed.is_some() {
+            daemon.preseed_breakeven(preseed);
+        }
+        for (i, (args, fault)) in reqs.iter().enumerate() {
+            daemon
+                .submit(i as u64, args.clone(), *fault)
+                .expect("submit");
+        }
+        let mut flags = vec![false; reqs.len()];
+        for r in collect(&rx, reqs.len()) {
+            assert!(r.result.is_ok(), "seq {}: {:?}", r.seq, r.result);
+            flags[r.seq as usize] = r.specialized;
+        }
+        (flags, daemon.join())
+    }
+
+    /// Serving is schedule-independent: a fingerprint's requests all go to
+    /// the worker that owns it, in submission order, so neither stalls nor
+    /// the worker count change what is staged, what each worker counts or
+    /// which requests are served specialized.
+    #[test]
+    fn serving_is_schedule_independent() {
+        let (artifact, _) = dotprod_parts();
+        let contexts = 6;
+        // Bursts of one to three requests per context in a scrambled
+        // order, with a short stall on every 13th request to perturb the
+        // workers' interleaving.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut reqs = Vec::new();
+        while reqs.len() < 72 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let ctx = (x % contexts) as f64;
+            for _ in 0..1 + (x >> 8) % 3 {
+                let i = reqs.len();
+                let fault = (i % 13 == 5).then_some((Fault::Stall(2), 0));
+                reqs.push((argv_fixed(ctx, i as f64, 1.0), fault));
+            }
+        }
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut auto_flags: Option<Vec<bool>> = None;
+            for workers in [1, 2, 4] {
+                let at = format!("{engine:?} x{workers}");
+                let runner = RunnerOptions {
+                    engine,
+                    store_capacity: 8,
+                    ..RunnerOptions::default()
+                };
+                for admission in [Admission::Always, Admission::Auto] {
+                    let cfg = DaemonConfig {
+                        workers,
+                        max_queue: reqs.len(),
+                        admission,
+                        runner,
+                        ..DaemonConfig::default()
+                    };
+                    let preseed = (admission == Admission::Auto).then_some(3);
+                    let (flags, report) = serve_stream(&artifact, &reqs, cfg, preseed);
+                    let (flags2, report2) = serve_stream(&artifact, &reqs, cfg, preseed);
+                    assert_eq!(flags, flags2, "{at} {admission}");
+                    assert_eq!(
+                        report.worker_stats, report2.worker_stats,
+                        "{at} {admission}"
+                    );
+                    let c = (&report.counters, &report2.counters);
+                    assert_eq!(c.0.staged_serves(), c.1.staged_serves(), "{at}");
+                    assert_eq!(c.0.unspec_serves(), c.1.unspec_serves(), "{at}");
+                    assert_eq!(c.0.admitted(), c.1.admitted(), "{at}");
+                    assert_eq!(
+                        c.0.admitted(),
+                        c.0.staged_serves() + c.0.unspec_serves(),
+                        "{at} {admission}: no deadline, so every admitted request is served"
+                    );
+                    if admission == Admission::Auto {
+                        assert!(flags.contains(&true) && flags.contains(&false), "{at}");
+                        match &auto_flags {
+                            None => auto_flags = Some(flags),
+                            Some(one_worker) => assert_eq!(&flags, one_worker, "{at}"),
+                        }
+                        continue;
+                    }
+                    // The store holds every context, so each worker's
+                    // statistics are exactly a solo session's over the
+                    // requests routed to it.
+                    if workers > 1 {
+                        let busy = report.worker_stats.iter().filter(|s| s.requests > 0);
+                        assert!(busy.count() > 1, "{at}: routing spreads the contexts");
+                    }
+                    for (w, stats) in report.worker_stats.iter().enumerate() {
+                        let store = Arc::new(CacheStore::new(runner.store_capacity));
+                        let mut solo = Session::new(Arc::clone(&artifact), store, runner);
+                        for (args, fault) in &reqs {
+                            if owner(artifact.inputs_fingerprint(args), workers) == w {
+                                if let Some((f, seed)) = fault {
+                                    solo.inject(*f, *seed).expect("latency fault");
+                                }
+                                solo.run(args).expect("solo request");
+                            }
+                        }
+                        assert_eq!(stats, solo.stats(), "{at} worker {w}");
+                    }
+                    assert_eq!(report.stats.loads, contexts, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //!   requests against its own private working buffer.
 //! * **Online serving**: the [`daemon`] module turns the sessions into a
 //!   long-running service — a bounded queue with typed load shedding,
-//!   per-request deadlines, §4.3 cost-model admission, single-flight
-//!   staging through per-fingerprint [`latch`]es, and graceful drain.
+//!   per-request deadlines, §4.3 cost-model admission, graceful drain, and
+//!   fingerprint-affine routing: every request for one invariant context
+//!   goes to the one worker that owns it, so a context is staged once and
+//!   served in submission order without any per-fingerprint lock.
 //!
 //! ## Example
 //!
@@ -89,7 +91,6 @@ pub mod cachefile;
 pub mod daemon;
 pub mod error;
 pub mod fault;
-pub mod latch;
 pub mod recovery;
 pub mod runner;
 pub mod session;
@@ -105,7 +106,6 @@ pub use cachefile::{
 pub use daemon::{breakeven_uses, Admission, Daemon, DaemonConfig, DaemonReport, DaemonResponse};
 pub use error::{IntegrityError, RuntimeError, WalError};
 pub use fault::{Fault, FaultInjector};
-pub use latch::{ExclusiveLatch, LatchTable, SharedLatch};
 pub use recovery::{recover, recover_or_degrade, Recovery};
 pub use runner::{Policy, RunnerOptions, RunnerStats};
 pub use session::Session;

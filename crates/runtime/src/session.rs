@@ -3,8 +3,8 @@
 //! A [`Session`] owns everything a single serving thread mutates — the VM
 //! register file, a private working [`CacheBuf`], degradation bookkeeping
 //! and statistics — and shares the immutable
-//! [`StagedArtifact`](crate::StagedArtifact) plus the polyvariant
-//! [`CacheStore`](crate::CacheStore) with every other session through
+//! [`StagedArtifact`] plus the polyvariant
+//! [`CacheStore`] with every other session through
 //! [`Arc`]s. The lifecycle is drawn in the [`runner`](crate::runner)
 //! module docs; the store extends it:
 //!

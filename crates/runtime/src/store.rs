@@ -115,9 +115,9 @@ impl CacheStore {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Applies `f` to the entry for `fp`, refreshing its LRU stamp.
-    /// `None` is a store miss.
-    fn with_entry<R>(&self, fp: u64, f: impl FnOnce(&StoreEntry) -> R) -> Option<R> {
+    /// Clones the entry for `fp` out of the store, refreshing its LRU
+    /// stamp. `None` is a store miss.
+    pub fn get(&self, fp: u64) -> Option<StoreEntry> {
         let stamp = self.tick();
         let mut sh = Self::lock(self.shard(fp));
         sh.entries
@@ -125,20 +125,8 @@ impl CacheStore {
             .find(|(f, _, _)| *f == fp)
             .map(|(_, e, used)| {
                 *used = stamp;
-                f(e)
+                e.clone()
             })
-    }
-
-    /// Clones the entry for `fp` out of the store, refreshing its LRU
-    /// stamp. `None` is a store miss.
-    pub fn get(&self, fp: u64) -> Option<StoreEntry> {
-        self.with_entry(fp, StoreEntry::clone)
-    }
-
-    /// Whether the store holds `fp`, refreshing its LRU stamp exactly as
-    /// [`CacheStore::get`] does but without cloning the entry out.
-    pub fn touch(&self, fp: u64) -> bool {
-        self.with_entry(fp, |_| ()).is_some()
     }
 
     /// Inserts (or replaces) the sealed entry for `fp`, then enforces the
@@ -277,32 +265,6 @@ mod tests {
         assert!(store.get(1).is_some(), "recently used survives");
         assert!(store.get(2).is_none(), "LRU entry was evicted");
         assert!(store.get(3).is_some());
-    }
-
-    #[test]
-    fn touch_refreshes_recency_exactly_like_get() {
-        // One probe/insert script, replayed with `get` and with `touch` as
-        // the probe: the evicted victims, in order, must be the same.
-        fn victims(probe: impl Fn(&CacheStore, u64) -> bool) -> Vec<u64> {
-            let store = CacheStore::new(3);
-            let held = |s: &CacheStore| -> Vec<u64> {
-                s.snapshot().into_iter().map(|(fp, _)| fp).collect()
-            };
-            let mut victims = Vec::new();
-            for fp in [1u64, 2, 3, 1, 4, 1, 3, 5, 3, 1, 2, 4] {
-                if !probe(&store, fp) {
-                    let before = held(&store);
-                    store.insert(fp, entry(fp as i64));
-                    let after = held(&store);
-                    victims.extend(before.into_iter().filter(|f| !after.contains(f)));
-                }
-            }
-            victims
-        }
-        let by_get = victims(|s, fp| s.get(fp).is_some());
-        assert_eq!(by_get, vec![2, 4, 5, 3], "hits reorder the LRU victims");
-        assert_eq!(victims(CacheStore::touch), by_get);
-        assert!(!CacheStore::new(2).touch(9), "a miss reports false");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Concurrency suite: parallel sessions over one shared artifact + store.
+//! Concurrency suite: parallel serving over one shared artifact + store.
 //!
-//! The guarantee under test (ISSUE 4's acceptance criteria): N worker
-//! threads serving a mixed-invariant request stream through their own
-//! [`Session`]s — all sharing one `Arc<StagedArtifact>` and one polyvariant
-//! [`CacheStore`] — produce exactly the answers the single-threaded
-//! reference produces, the merged statistics equal the field-wise sum of
-//! the per-worker statistics, and fault injection in one worker can damage
-//! *that worker's* requests into typed errors but never tears the shared
-//! cache into a silently wrong value anywhere.
+//! The guarantees under test: a multi-worker [`Daemon`] serving a
+//! mixed-invariant request stream — its workers' [`Session`]s sharing one
+//! `Arc<StagedArtifact>` and one polyvariant [`CacheStore`] — produces
+//! exactly the answers the single-threaded reference produces, loads each
+//! context once, and reports merged statistics and latency that are the
+//! exact merge of the per-worker parts; and fault injection in one of
+//! several sessions sharing a store can damage *that session's* requests
+//! into typed errors but never tears the shared cache into a silently
+//! wrong value anywhere.
 
 #[path = "common/paper.rs"]
 #[allow(dead_code)]
@@ -15,7 +16,10 @@ mod paper;
 
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 use ds_interp::{Engine, EvalOptions, Value};
-use ds_runtime::{CacheStore, Fault, Policy, RunnerOptions, RunnerStats, Session, StagedArtifact};
+use ds_runtime::{
+    Admission, CacheStore, Daemon, DaemonConfig, DaemonReport, Fault, Policy, RunnerOptions,
+    RunnerStats, Session, StagedArtifact,
+};
 use ds_telemetry::Json;
 use std::sync::Arc;
 
@@ -66,68 +70,48 @@ fn opts_for(engine: Engine, capacity: usize) -> RunnerOptions {
     }
 }
 
-/// Serves `stream` across `workers` sessions over one shared store,
-/// returning per-request answers (in request order) and per-worker stats.
+/// Asserts a served value is bit-exact with the reference's.
+fn assert_bit_exact(got: &Option<Value>, want: &Option<Value>) {
+    match (got, want) {
+        (Some(g), Some(w)) => assert!(g.bits_eq(w), "SILENT WRONG VALUE: got {g}, reference {w}"),
+        _ => assert_eq!(got, want, "value presence diverged"),
+    }
+}
+
+/// Serves `stream` through a daemon with `workers` workers over `store`
+/// (admission `always`, a queue as long as the stream), checking every
+/// answer against the tree-walked reference; returns the answers in
+/// request order and the daemon's report.
 fn serve_parallel(
     art: &Arc<StagedArtifact>,
     store: &Arc<CacheStore>,
     stream: &[Vec<Value>],
     workers: usize,
     opts: RunnerOptions,
-    inject: Option<(usize, Fault, u64)>,
-) -> (Vec<Option<Value>>, Vec<RunnerStats>) {
-    let chunk = stream.len().div_ceil(workers).max(1);
-    let per_worker: Vec<(Vec<Option<Value>>, RunnerStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = stream
-            .chunks(chunk)
-            .enumerate()
-            .map(|(w, batch)| {
-                let mut session = Session::new(Arc::clone(art), Arc::clone(store), opts);
-                if let Some((target, fault, seed)) = inject {
-                    if w == target {
-                        session.inject(fault, seed).expect("memory fault");
-                    }
-                }
-                scope.spawn(move || {
-                    let answers: Vec<Option<Value>> = batch
-                        .iter()
-                        .map(|args| {
-                            let want = session.reference(args).expect("reference oracle").value;
-                            match session.run(args) {
-                                Ok(out) => {
-                                    match (&out.value, &want) {
-                                        (Some(got), Some(w)) => assert!(
-                                            got.bits_eq(w),
-                                            "SILENT WRONG VALUE: got {got}, reference {w}"
-                                        ),
-                                        (got, w) => {
-                                            assert_eq!(got, w, "value presence diverged")
-                                        }
-                                    }
-                                    out.value
-                                }
-                                // Typed by construction; the caller decides
-                                // whether errors were allowed at all.
-                                Err(_) => None,
-                            }
-                        })
-                        .collect();
-                    (answers, session.stats().clone())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut answers = Vec::with_capacity(stream.len());
-    let mut stats = Vec::new();
-    for (a, s) in per_worker {
-        answers.extend(a);
-        stats.push(s);
+) -> (Vec<Option<Value>>, DaemonReport) {
+    let cfg = DaemonConfig {
+        workers,
+        max_queue: stream.len(),
+        admission: Admission::Always,
+        runner: opts,
+        ..DaemonConfig::default()
+    };
+    let (daemon, rx) = Daemon::start(Arc::clone(art), Arc::clone(store), None, cfg);
+    for (seq, args) in stream.iter().enumerate() {
+        daemon
+            .submit(seq as u64, args.clone(), None)
+            .expect("submit");
     }
-    (answers, stats)
+    daemon.drain();
+    let mut answers = vec![None; stream.len()];
+    for r in rx {
+        let args = &stream[r.seq as usize];
+        let want = art.reference(args, opts.eval).expect("reference").value;
+        let got = r.result.expect("fault-free request").value;
+        assert_bit_exact(&got, &want);
+        answers[r.seq as usize] = got;
+    }
+    (answers, daemon.join())
 }
 
 /// Asserts `merged` is the field-wise sum of `parts` for every numeric
@@ -166,7 +150,7 @@ fn parallel_mixed_streams_match_the_single_threaded_reference() {
             .collect();
 
         let store = Arc::new(CacheStore::new(8));
-        let (answers, stats) = serve_parallel(&art, &store, &stream, 4, opts, None);
+        let (answers, report) = serve_parallel(&art, &store, &stream, 4, opts);
         for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
             match (got, want) {
                 (Some(g), Some(w)) => {
@@ -175,25 +159,26 @@ fn parallel_mixed_streams_match_the_single_threaded_reference() {
                 _ => assert_eq!(got, want, "{engine:?} request {i} presence"),
             }
         }
-        let mut merged = RunnerStats::default();
-        for s in &stats {
-            merged.merge(s);
-        }
+        let merged = &report.stats;
         assert_eq!(merged.requests, 240, "{engine:?}");
-        // Polyvariance: each worker loads a context at most once; revisits
-        // are store hits or local warm serves.
-        assert!(
-            merged.loads >= 5 && merged.loads <= 20,
-            "{engine:?}: {} loads",
-            merged.loads
-        );
+        // Polyvariance plus routing: each context has one owning worker,
+        // which loads it once; revisits are store hits or warm serves.
+        assert_eq!(merged.loads, 5, "{engine:?}");
         assert_eq!(
             merged.store_evictions(),
             0,
             "{engine:?}: capacity covers all contexts"
         );
         // Merged stats are exactly the field-wise sum of per-worker stats.
-        let parts: Vec<Json> = stats.iter().map(RunnerStats::to_json).collect();
+        // A worker that owns no context served nothing and counts nothing
+        // (its profile maps are empty, so it is left out of the sum).
+        let (busy, idle): (Vec<&RunnerStats>, Vec<&RunnerStats>) =
+            report.worker_stats.iter().partition(|s| s.requests > 0);
+        assert!(busy.len() > 1, "{engine:?}: routing spreads the contexts");
+        for s in idle {
+            assert_eq!(s, &RunnerStats::default(), "{engine:?}");
+        }
+        let parts: Vec<Json> = busy.into_iter().map(RunnerStats::to_json).collect();
         let part_refs: Vec<&Json> = parts.iter().collect();
         assert_fieldwise_sum(&merged.to_json(), &part_refs, "stats");
     }
@@ -205,15 +190,12 @@ fn eviction_pressure_at_capacity_one_stays_correct_and_counts() {
     let stream = mixed_stream(160, 4);
     for engine in ENGINES {
         let store = Arc::new(CacheStore::new(1));
-        let (answers, stats) = serve_parallel(&art, &store, &stream, 4, opts_for(engine, 1), None);
+        let (answers, report) = serve_parallel(&art, &store, &stream, 4, opts_for(engine, 1));
         assert!(
             answers.iter().all(Option::is_some),
             "{engine:?}: every request answered"
         );
-        let mut merged = RunnerStats::default();
-        for s in &stats {
-            merged.merge(s);
-        }
+        let merged = &report.stats;
         // Four contexts thrash a one-entry store: the old single-entry
         // rebuild behavior, with the churn counted as evictions.
         assert!(
@@ -236,14 +218,42 @@ fn faults_in_one_worker_never_tear_the_shared_store() {
                     ..opts_for(engine, 4)
                 };
                 let store = Arc::new(CacheStore::new(4));
-                // Worker 0 carries the fault; workers 1-3 are bystanders
+                // Four sessions share the store, each serving a contiguous
+                // chunk of the stream (so two of them serve each context).
+                // Session 0 carries the fault; sessions 1-3 are bystanders
                 // that may pull a damaged published entry from the store —
                 // validation must catch it (typed error or transparent
-                // rebuild), never serve it. serve_parallel asserts every
-                // success against the reference oracle.
-                let (answers, stats) =
-                    serve_parallel(&art, &store, &stream, 4, opts, Some((0, fault, 7)));
-                let served = answers.iter().filter(|a| a.is_some()).count();
+                // rebuild), never serve it. Every success is checked
+                // against the reference oracle.
+                let served: usize = std::thread::scope(|scope| {
+                    let handles: Vec<_> = stream
+                        .chunks(stream.len() / 4)
+                        .enumerate()
+                        .map(|(w, batch)| {
+                            let mut session =
+                                Session::new(Arc::clone(&art), Arc::clone(&store), opts);
+                            if w == 0 {
+                                session.inject(fault, 7).expect("memory fault");
+                            }
+                            scope.spawn(move || {
+                                batch
+                                    .iter()
+                                    .filter(|args| {
+                                        let want = session.reference(args).expect("oracle").value;
+                                        // Typed by construction; the policy
+                                        // decides whether errors are allowed.
+                                        let got = session.run(args).map(|out| out.value);
+                                        got.map(|got| assert_bit_exact(&got, &want)).is_ok()
+                                    })
+                                    .count()
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked"))
+                        .sum()
+                });
                 match policy {
                     Policy::RebuildThenFallback => assert_eq!(
                         served,
@@ -263,53 +273,35 @@ fn faults_in_one_worker_never_tear_the_shared_store() {
                 for args in stream.iter().take(2) {
                     let want = probe.reference(args).expect("oracle").value;
                     let got = probe.run(args).expect("post-fault probe").value;
-                    match (&got, &want) {
-                        (Some(g), Some(w)) => assert!(g.bits_eq(w)),
-                        _ => assert_eq!(got, want),
-                    }
+                    assert_bit_exact(&got, &want);
                 }
-                let _ = stats;
             }
         }
     }
 }
 
 /// The acceptance contract of the serve envelope's `latency` section:
-/// the published merged `Timing` is the *exact* bucket-wise merge of the
+/// the daemon's merged `Timing` is the *exact* bucket-wise merge of the
 /// per-worker histograms — independent of fold order, and reconstructible
 /// from the serialized `worker_latency` parts alone.
 #[test]
 fn merged_latency_is_the_exact_merge_of_worker_histograms() {
     let art = artifact();
     let stream = mixed_stream(96, 4);
-    let opts = opts_for(Engine::Tree, 8);
     let store = Arc::new(CacheStore::new(8));
-    let workers = 3;
-    let chunk = stream.len().div_ceil(workers);
-    let timings: Vec<ds_telemetry::Timing> = std::thread::scope(|scope| {
-        let handles: Vec<_> = stream
-            .chunks(chunk)
-            .map(|batch| {
-                let mut session = Session::new(Arc::clone(&art), Arc::clone(&store), opts);
-                scope.spawn(move || {
-                    for args in batch {
-                        session.run(args).expect("request");
-                    }
-                    session.timing().clone()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+    let (_, report) = serve_parallel(&art, &store, &stream, 3, opts_for(Engine::Tree, 8));
+    let timings = &report.worker_timing;
+    assert_eq!(timings.len(), 3);
 
-    // Merge exactly as `dsc serve` does (worker order)...
+    // Merge exactly as the daemon does (worker order)...
     let mut merged = ds_telemetry::Timing::default();
-    for t in &timings {
+    for t in timings {
         merged.merge(t);
     }
+    assert_eq!(
+        merged, report.timing,
+        "the report's merge is the worker merge"
+    );
     // ...and in reverse order: bucket-wise addition must not care.
     let mut reversed = ds_telemetry::Timing::default();
     for t in timings.iter().rev() {
@@ -317,9 +309,14 @@ fn merged_latency_is_the_exact_merge_of_worker_histograms() {
     }
     assert_eq!(merged, reversed, "merge must be order-independent");
 
-    // Every request lands in exactly one worker's end-to-end histogram,
-    // and the merged counts are the per-worker sums, stage by stage.
+    // Every request lands in exactly one worker's end-to-end and queue
+    // histograms, and the merged counts are the per-worker sums, stage by
+    // stage.
     assert_eq!(merged.total.count(), stream.len() as u64);
+    assert_eq!(
+        merged.stage("queue").map(|h| h.count()),
+        Some(stream.len() as u64)
+    );
     assert_eq!(
         merged.total.count(),
         timings.iter().map(|t| t.total.count()).sum::<u64>()
@@ -345,7 +342,7 @@ fn merged_latency_is_the_exact_merge_of_worker_histograms() {
     // serialized `worker_latency` parts alone — the exact merge, through
     // the JSON round-trip `dsc report` consumes.
     let mut refolded = ds_telemetry::Timing::default();
-    for t in &timings {
+    for t in timings {
         let part = ds_telemetry::Timing::from_json(&t.to_json()).expect("worker round trip");
         refolded.merge(&part);
     }
